@@ -22,6 +22,7 @@ from .digits import (
     check_base,
     check_bases,
     check_digit,
+    digit_runs,
     digit_set,
     digit_set_contains,
     digit_set_ranges,
@@ -89,6 +90,7 @@ __all__ = [
     "check_base",
     "check_bases",
     "check_digit",
+    "digit_runs",
     "digit_set",
     "digit_set_contains",
     "digit_set_ranges",

@@ -11,8 +11,9 @@ Subcommands map one-to-one onto the library surface:
 
 Results go to stdout, diagnostics to stderr.  Exit status: 0 for a
 completed query (a negative answer such as not_attainable is still a
-completed query), 1 for domain errors, 2 for usage errors.  Identical
-invocations produce byte-identical stdout.
+completed query), 1 for domain errors or a closed stdout, 2 for usage
+errors, 130 when interrupted.  Identical invocations produce
+byte-identical stdout.
 
 Resource caps default to the library defaults and can be overridden with
 the environment variables JOINTDIGITS_ENUM_CAP (digit-set and table
@@ -208,8 +209,9 @@ def _cmd_table(args) -> int:
         f"bases ({b1},{b2})  combined base {table.combined_base}"
         f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
     )
+    by_pair = table.runs_by_pair()
     grid = [
-        [_run_segments(table.member_runs(j1, j2)) for j1 in range(1, b1)]
+        [_run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]
         for j2 in range(1, b2)
     ]
     headers = [f"j1={j1}" for j1 in range(1, b1)]
@@ -233,12 +235,7 @@ def _cmd_table(args) -> int:
                 + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
             ).rstrip()
         )
-    excluded = sorted(
-        (j1, j2)
-        for j2 in range(1, b2)
-        for j1 in range(1, b1)
-        if (j1, j2) not in table.image()
-    )
+    excluded = table.excluded()
     print(
         "excluded pairs: "
         + (" ".join(f"({a},{b})" for a, b in excluded) if excluded else "none")
@@ -317,11 +314,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except (ValueError, ResourceLimitError) as exc:
         # IndependentBasesError is a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the exit flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
@@ -50,6 +51,7 @@ __all__ = [
     "digit_set_ranges",
     "digit_set_contains",
     "refine_digit",
+    "digit_runs",
     "iter_digit_tuples",
 ]
 
@@ -255,19 +257,14 @@ def digit_set_ranges(b: int, e: int, j: int) -> tuple[tuple[int, int], ...]:
 def digit_set_contains(value: int, b: int, e: int, j: int) -> bool:
     """Membership predicate for digit_set(b, e, j), with no enumeration.
 
-    Tests j * b**l <= value < (j+1) * b**l over l = 0..e-1; usable when
-    b**e is far beyond any enumeration cap.
+    value is a member iff it has at most e base-b digits and leading base-b
+    digit j; usable when b**e is far beyond any enumeration cap.
     """
     check_digit(j, b)
     _check_exponent(e)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         return False
-    pw = 1
-    for _ in range(e):
-        if j * pw <= value < (j + 1) * pw:
-            return True
-        pw *= b
-    return False
+    return floor_log(value, b) < e and leading_digit(value, b) == j
 
 
 def digit_set(b: int, e: int, j: int, cap: int = DEFAULT_ENUMERATION_CAP) -> DigitSet:
@@ -299,8 +296,8 @@ def refine_digit(D: int, b: int, e: int) -> int:
     """The base-b digit j whose digit set contains the base-b**e digit D.
 
     Total on 1 <= D <= b**e - 1 because the digit sets partition that
-    range.  Computed by locating the power b**l <= D < b**(l+1) and taking
-    j = D // b**l.
+    range.  D < b**e is itself a base-b**e digit, so j is simply the
+    leading base-b digit of the integer D.
 
     >>> refine_digit(25, 4, 3)
     1
@@ -313,30 +310,63 @@ def refine_digit(D: int, b: int, e: int) -> int:
         raise TypeError(f"digit must be an int, got {type(D).__name__}")
     if not 1 <= D <= b**e - 1:
         raise ValueError(f"digit must be in 1..{b**e - 1} for base {b}**{e}, got {D}")
-    pw = 1
-    while pw * b <= D:
-        pw *= b
-    return D // pw
+    return leading_digit(D, b)
+
+
+def _exact(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+class _Bracket:
+    """The power bracket lo = b**m <= x < hi = b**(m+1) of one base.
+
+    The one primitive behind every walk over many x: ``digit`` moves the
+    bracket a power at a time until it encloses x, so a step of bounded
+    ratio costs O(1) exact operations.  lo and hi are ints while m >= 0,
+    Fractions below.  floor_log is the independent from-scratch route.
+    """
+
+    def __init__(self, b: int):
+        self.b, self.lo, self.hi = b, 1, b
+
+    def digit(self, x) -> int:
+        """Leading digit x // lo of the positive rational x."""
+        while x >= self.hi:
+            self.lo, self.hi = self.hi, _exact(self.hi * self.b)
+        while x < self.lo:
+            self.lo, self.hi = _exact(Fraction(self.lo, self.b)), self.lo
+        return x // self.lo
+
+
+def digit_runs(
+    bases: Iterable[int], x_max: int
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Maximal runs (start, stop, digits) of constant digit tuple over 1..x_max.
+
+    leading_digit_tuple(x, bases) == digits for start <= x < stop.  Base
+    b's digit j changes exactly at (j+1) * b**m, so a run stops at the
+    least such bound over the bases: O(sum of b_i * log x_max) runs,
+    however large x_max is.
+
+    >>> list(digit_runs((4, 8), 9))[-3:]
+    [(6, 7, (1, 6)), (7, 8, (1, 7)), (8, 10, (2, 1))]
+    """
+    bs = check_bases(bases)
+    if x_max < 1:
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    brackets = [_Bracket(b) for b in bs]
+    start = 1
+    while start <= x_max:
+        digits = tuple([br.digit(start) for br in brackets])
+        stop = min((j + 1) * br.lo for j, br in zip(digits, brackets))
+        yield start, min(stop, x_max + 1), digits
+        start = stop
 
 
 def iter_digit_tuples(bases: Iterable[int], x_max: int) -> Iterator[tuple[int, ...]]:
     """Yield leading_digit_tuple(x, bases) for x = 1, 2, ..., x_max.
 
-    Ascending integer scans keep, per base, the bracketing power
-    b**m <= x < b**(m+1) and advance it incrementally, so the whole scan
-    costs O(x_max) integer divisions instead of x_max order-of-magnitude
-    searches.
+    Expands digit_runs, so only the yields grow with x_max.
     """
-    bs = check_bases(bases)
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
-    # per-base state [b, b**m, b**(m+1)] with b**m <= x < b**(m+1)
-    state = [[b, 1, b] for b in bs]
-    for x in range(1, x_max + 1):
-        out = []
-        for s in state:
-            if x >= s[2]:
-                s[1] = s[2]
-                s[2] *= s[0]
-            out.append(x // s[1])
-        yield tuple(out)
+    for start, stop, digits in digit_runs(bases, x_max):
+        yield from repeat(digits, stop - start)

@@ -15,14 +15,16 @@ agree cell for cell; tests hold them to that.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .dependence import DependencePair, pair_dependence
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
     check_base,
     check_digit,
-    refine_digit,
+    digit_runs,
 )
 from .errors import IndependentBasesError, ResourceLimitError
 
@@ -139,114 +141,109 @@ def attainable_by_power_criterion(
     )
 
 
-def _compress_runs(values: list[int]) -> list[tuple[int, int]]:
-    """Sorted ints -> maximal half-open runs [start, stop)."""
-    runs: list[tuple[int, int]] = []
-    for v in values:
-        if runs and runs[-1][1] == v:
-            runs[-1] = (runs[-1][0], v + 1)
-        else:
-            runs.append((v, v + 1))
-    return runs
-
-
 @dataclass(frozen=True)
 class JointTable:
     """Joint digit pair as a function of the combined-base leading digit.
 
-    ``cells[D-1]`` is the digit pair (j1, j2) of every x whose leading
-    digit in the combined base b = base1**e2 = base2**e1 is D; the map is
-    total on D = 1..b-1.  Digit pairs never appearing among the cells are
-    exactly the pairs outside the image of the joint digit map.
+    Every x whose leading digit in the combined base b = base1**e2 =
+    base2**e1 is D has the digit pair (j1, j2) of the integer D itself.
+    ``runs`` holds the maximal runs (start, stop, (j1, j2)) of that pair
+    over D = 1..b-1, ascending and tiling the range.  Digit pairs in no run
+    are exactly the pairs outside the image of the joint digit map.
     """
 
     dep: DependencePair
     combined_base: int
-    cells: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, tuple[int, int]], ...]
+
+    @property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """The digit pair of every D = 1..b-1 in order (O(b); expands runs)."""
+        return tuple(chain.from_iterable(repeat(p, t - s) for s, t, p in self.runs))
 
     def cell(self, D: int) -> tuple[int, int]:
         if not 1 <= D <= self.combined_base - 1:
             raise ValueError(
                 f"combined-base digit must be in 1..{self.combined_base - 1}, got {D}"
             )
-        return self.cells[D - 1]
+        return self.runs[bisect_right(self.runs, D, key=lambda run: run[0]) - 1][2]
 
     def image(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.cells)
+        return frozenset(p for _, _, p in self.runs)
 
-    def members(self, j1: int, j2: int) -> tuple[int, ...]:
-        """All combined-base digits mapping to (j1, j2), ascending."""
-        check_digit(j1, self.dep.base1)
-        check_digit(j2, self.dep.base2)
-        return tuple(
-            D for D, cell in enumerate(self.cells, start=1) if cell == (j1, j2)
-        )
+    def runs_by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Runs [start, stop) of every digit pair, j2-major; [] if excluded."""
+        b1, b2 = self.dep.base1, self.dep.base2
+        out = {(j1, j2): [] for j2 in range(1, b2) for j1 in range(1, b1)}
+        for start, stop, pair in self.runs:
+            out[pair].append((start, stop))
+        return out
+
+    def excluded(self) -> list[tuple[int, int]]:
+        """The digit pairs outside the image, sorted."""
+        return sorted(p for p, runs in self.runs_by_pair().items() if not runs)
 
     def member_runs(self, j1: int, j2: int) -> list[tuple[int, int]]:
-        """members(j1, j2) compressed to half-open runs [start, stop)."""
-        return _compress_runs(list(self.members(j1, j2)))
+        """The maximal runs [start, stop) of digits mapping to (j1, j2)."""
+        check_digit(j1, self.dep.base1)
+        check_digit(j2, self.dep.base2)
+        return self.runs_by_pair()[(j1, j2)]
 
     def to_json_dict(self) -> dict:
-        b1, b2 = self.dep.base1, self.dep.base2
-        cells = []
-        for j2 in range(1, b2):
-            for j1 in range(1, b1):
-                cells.append(
-                    {
-                        "j1": j1,
-                        "j2": j2,
-                        "runs": [list(r) for r in self.member_runs(j1, j2)],
-                    }
-                )
         return {
-            "bases": [b1, b2],
+            "bases": [self.dep.base1, self.dep.base2],
             "dependence": self.dep.to_json_dict(),
             "combined_base": self.combined_base,
-            "cells": cells,
-            "excluded": sorted(
-                [j1, j2]
-                for j2 in range(1, b2)
-                for j1 in range(1, b1)
-                if (j1, j2) not in self.image()
-            ),
+            "cells": [
+                {"j1": j1, "j2": j2, "runs": [list(r) for r in runs]}
+                for (j1, j2), runs in self.runs_by_pair().items()
+            ],
+            "excluded": [list(p) for p in self.excluded()],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JointTable":
+        """Rebuild a table from ``dependence``; d must equal its JSON exactly.
+
+        Sizes are checked first, the combined base against the cap before it
+        is computed, so allocation stays bounded by the payload's length.
+        """
         dep = DependencePair.from_json_dict(d["dependence"])
-        b = d["combined_base"]
-        cells: list[tuple[int, int] | None] = [None] * (b - 1)
-        for cell in d["cells"]:
-            for start, stop in cell["runs"]:
-                for D in range(start, stop):
-                    cells[D - 1] = (cell["j1"], cell["j2"])
-        if any(c is None for c in cells):
-            raise ValueError("cell runs do not cover 1..combined_base-1")
-        return cls(dep=dep, combined_base=b, cells=tuple(cells))  # type: ignore[arg-type]
+        b = _combined_base(dep, DEFAULT_ENUMERATION_CAP)
+        if d["combined_base"] != b or len(d["cells"]) != (dep.base1 - 1) * (dep.base2 - 1):
+            raise ValueError("payload sizes do not match its dependence pair")
+        table = joint_table(dep)
+        if d != table.to_json_dict():
+            raise ValueError("payload is not the joint table of its dependence pair")
+        return table
+
+
+def _combined_base(dep: DependencePair, cap: int) -> int:
+    """a**(e1*e2), refused past cap before it is computed.
+
+    a**e >= 2**(e * (bit_length(a) - 1)) bounds its size from e alone.
+    """
+    e = dep.e1 * dep.e2
+    if e * (dep.a.bit_length() - 1) >= cap.bit_length() or dep.a**e > cap:
+        raise ResourceLimitError(f"combined base {dep.a}**{e} exceeds enumeration cap {cap}")
+    return dep.a**e
 
 
 def joint_table(
     dep: DependencePair, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> JointTable:
-    """Tabulate the joint digit pair over all combined-base digits.
+    """Tabulate the joint digit pair over all combined-base digits, as runs.
 
-    Each D in 1..b-1 refines to its base-b1 digit (through exponent e2)
-    and its base-b2 digit (through exponent e1).
+    D < b = base1**e2 = base2**e1, so the digit pair of D is the leading
+    digit pair of the integer D, and the table is digit_runs over 1..b-1.
 
     >>> t = joint_table(pair_dependence(4, 8))
     >>> t.cell(9), t.cell(1), t.cell(48)
     ((2, 1), (1, 1), (3, 6))
     """
-    b = dep.combined_base
-    if b > cap:
-        raise ResourceLimitError(
-            f"combined base {b} exceeds enumeration cap {cap}"
-        )
-    cells = tuple(
-        (refine_digit(D, dep.base1, dep.e2), refine_digit(D, dep.base2, dep.e1))
-        for D in range(1, b)
-    )
-    return JointTable(dep=dep, combined_base=b, cells=cells)
+    b = _combined_base(dep, cap)
+    runs = tuple(digit_runs((dep.base1, dep.base2), b - 1))
+    return JointTable(dep=dep, combined_base=b, runs=runs)
 
 
 def image_via_table(

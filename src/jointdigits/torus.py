@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from .digits import as_positive_rational, check_bases, check_digit, iter_digit_tuples, leading_digit_tuple
+from .digits import _Bracket, as_positive_rational, check_bases, check_digit, iter_digit_tuples
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -446,8 +446,9 @@ def orbit_sample(
         r = as_positive_rational(ratio)
         if r == 1:
             raise ValueError("geometric sampler needs ratio != 1")
+        brackets = [_Bracket(b) for b in bs]
         for _ in range(n_samples):
-            counts[leading_digit_tuple(x, bs)] += 1
+            counts[tuple([br.digit(x) for br in brackets])] += 1
             x *= r
     else:
         fv = frequency_vector(bs, precision=precision)

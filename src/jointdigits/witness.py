@@ -23,11 +23,11 @@ from typing import Iterable
 
 from .dependence import pairwise_report
 from .digits import (
+    _Bracket,
     as_positive_rational,
     check_bases,
     check_digit,
-    floor_log,
-    iter_digit_tuples,
+    digit_runs,
     leading_digit_tuple,
 )
 from .errors import ResourceLimitError
@@ -173,30 +173,18 @@ def _scan_anchor(
     """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget.
 
     Returns (x, k) for the first k whose candidate matches every
-    non-anchor digit.  Bracketing powers b**m <= x < b**(m+1) for the
-    other bases advance incrementally as x grows, so the whole scan costs
-    O(budget) big-integer multiplications and divisions.
+    non-anchor digit.  One power bracket per other base follows x upward,
+    so the whole scan costs O(budget) big-integer multiplications and
+    divisions; each candidate stops at the first base whose digit misses.
     """
     ba = bases[anchor]
     x = target[anchor]
-    others = [i for i in range(len(bases)) if i != anchor]
-    # per-base bracket [b, b**m, b**(m+1)] around the current x
-    state = {}
-    for i in others:
-        b = bases[i]
-        m = floor_log(x, b)
-        state[i] = [b, b**m, b**m * b]
+    others = [(_Bracket(bases[i]), target[i]) for i in range(len(bases)) if i != anchor]
     for k in range(budget + 1):
-        hit = True
-        for i in others:
-            s = state[i]
-            while x >= s[2]:
-                s[1] = s[2]
-                s[2] *= s[0]
-            if x // s[1] != target[i]:
-                hit = False
+        for bracket, j in others:
+            if bracket.digit(x) != j:
                 break
-        if hit:
+        else:
             return x, k
         x *= ba
     return None
@@ -234,7 +222,9 @@ def find_witness(query: WitnessQuery) -> WitnessResult:
         found = _scan_anchor(bases, target, anchor, query.budget)
         if found is not None:
             x, k = found
-            assert leading_digit_tuple(x, bases) == target
+            # independent re-check by the from-scratch route; survives python -O
+            if leading_digit_tuple(x, bases) != target:
+                raise RuntimeError(f"anchored scan returned a non-witness x = {x}")
             return WitnessResult(
                 outcome=FOUND,
                 bases=bases,
@@ -275,4 +265,4 @@ def image_observed(
     """
     if x_max > cap:
         raise ResourceLimitError(f"x_max {x_max} exceeds scan cap {cap}")
-    return frozenset(iter_digit_tuples(bases, x_max))
+    return frozenset(digits for _, _, digits in digit_runs(bases, x_max))

@@ -1,8 +1,14 @@
 """CLI tests: subcommands, output formats, exit statuses, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import jointdigits.cli
 
 from jointdigits import (
     CoverageReport,
@@ -271,3 +277,31 @@ class TestUsageAndDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestSignals:
+    def test_closed_pipe_exits_quietly(self):
+        # 400 kB of text: far more than a pipe holds, so the writer must
+        # still be writing when the reader goes away
+        env = dict(os.environ)
+        src = str(Path(jointdigits.cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jointdigits.cli", "table", "--bases", "8,4096"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"bases (8,4096)")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(jointdigits.cli._HANDLERS, "deps", interrupted)
+        assert main(["deps", "--bases", "4,8"]) == 130

@@ -11,6 +11,7 @@ from jointdigits import (
     DigitSet,
     ResourceLimitError,
     as_positive_rational,
+    digit_runs,
     digit_set,
     digit_set_contains,
     digit_set_ranges,
@@ -21,6 +22,7 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
+from jointdigits.digits import _Bracket
 
 
 def repeated_division_digit(x, b):
@@ -234,6 +236,61 @@ class TestIterDigitTuples:
     def test_rejects_bad_x_max(self):
         with pytest.raises(ValueError):
             list(iter_digit_tuples((4, 8), 0))
+
+
+distinct_bases = st.lists(st.integers(3, 40), min_size=1, max_size=3, unique=True)
+
+
+class TestDigitRuns:
+    @given(bs=distinct_bases, x_max=st.integers(1, 5000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_pointwise(self, bs, x_max):
+        runs = list(digit_runs(bs, x_max))
+        # the runs tile 1..x_max and adjacent runs differ (maximality)
+        assert runs[0][0] == 1 and runs[-1][1] == x_max + 1
+        for (_, stop, left), (start, _, right) in zip(runs, runs[1:]):
+            assert stop == start and left != right
+        for start, stop, digits in runs:
+            assert start < stop
+            for x in range(start, stop):
+                assert leading_digit_tuple(x, bs) == digits
+
+    def test_huge_x_max_costs_runs_not_integers(self):
+        runs = list(digit_runs((3, 10, 7), 10**100))
+        assert runs[-1][1] == 10**100 + 1
+        # one run per digit boundary (j+1) * b**m <= 10**100 of each base
+        assert len(runs) <= 1 + sum((b - 1) * (floor_log(10**100, b) + 1) for b in (3, 10, 7))
+        for start, _, digits in runs[::50]:
+            assert leading_digit_tuple(start, (3, 10, 7)) == digits
+
+
+rational_steps = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)).filter(
+    lambda r: r != 1
+)
+
+
+class TestBracket:
+    @given(
+        bs=distinct_bases,
+        x0=positive_rationals,
+        ratio=rational_steps,
+        steps=st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_oracle_every_step(self, bs, x0, ratio, steps):
+        # ratio > 1 walks the brackets up, ratio < 1 walks them down
+        brackets = [_Bracket(b) for b in bs]
+        x = x0
+        for _ in range(steps):
+            assert tuple(br.digit(x) for br in brackets) == leading_digit_tuple(x, bs)
+            x *= ratio
+
+    def test_bounds_are_ints_at_or_above_one(self):
+        br = _Bracket(10)
+        assert br.digit(Fraction(3, 1000)) == 3
+        assert (br.lo, br.hi) == (Fraction(1, 1000), Fraction(1, 100))
+        assert br.digit(42) == 4
+        assert (type(br.lo), type(br.hi)) == (int, int) and (br.lo, br.hi) == (10, 100)
 
 
 class TestParsing:

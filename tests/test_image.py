@@ -1,11 +1,16 @@
 """Image tests: power-interval criterion vs combined-base table."""
 
+import copy
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointdigits import (
     AttainabilityVerdict,
+    DependencePair,
     ImageReport,
     IndependentBasesError,
     JointTable,
@@ -48,6 +53,33 @@ def digit_set_oracle(b, e, j):
     for l in range(e):
         out |= set(range(j * b**l, (j + 1) * b**l))
     return out
+
+
+def dense_table_oracle(dep):
+    """Oracle: the dense per-D build, refining each combined-base digit D
+    to base1 and base2 by its own power loop b**l <= D < b**(l+1)."""
+
+    def refine(D, b):
+        pw = 1
+        while pw * b <= D:
+            pw *= b
+        return D // pw
+
+    return tuple(
+        (refine(D, dep.base1), refine(D, dep.base2)) for D in range(1, dep.combined_base)
+    )
+
+
+# every dependent pair with root a <= 12, bases >= 3, combined base <= 5000
+SMALL_DEPENDENCES = [
+    dep
+    for a in range(2, 13)
+    for e1 in range(1, 13)
+    for e2 in range(1, 13)
+    if e1 != e2 and gcd(e1, e2) == 1
+    for dep in [DependencePair(a=a, e1=e1, e2=e2)]
+    if min(dep.base1, dep.base2) >= 3 and dep.combined_base <= 5000
+]
 
 
 class TestPowerCriterion:
@@ -154,16 +186,70 @@ class TestJointTable:
         assert table.member_runs(2, 1) == [(8, 12)]
         assert table.member_runs(1, 1) == [(1, 2)]
         assert table.member_runs(2, 3) == []
-        assert table.members(3, 7) == tuple(range(56, 64))
+        assert table.member_runs(3, 7) == [(56, 64)]
 
     def test_resource_cap(self):
         dep = pair_dependence(3, 81)  # combined base 3**4 = 81
         with pytest.raises(ResourceLimitError):
             joint_table(dep, cap=80)
+        assert joint_table(dep, cap=81).combined_base == 81
+        # 3**(10**18) would never finish: the cap must refuse it uncomputed
+        with pytest.raises(ResourceLimitError):
+            joint_table(DependencePair(a=3, e1=10**9, e2=10**9 + 1))
 
     def test_json_round_trip(self):
         table = joint_table(pair_dependence(4, 8))
         assert JointTable.from_json_dict(table.to_json_dict()) == table
+
+    @given(dep=st.sampled_from(SMALL_DEPENDENCES))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_expand_to_dense_oracle(self, dep):
+        table = joint_table(dep)
+        dense = dense_table_oracle(dep)
+        assert table.cells == dense
+        image = frozenset(dense)
+        assert table.image() == image
+        assert table.excluded() == sorted(
+            (j1, j2)
+            for j1 in range(1, dep.base1)
+            for j2 in range(1, dep.base2)
+            if (j1, j2) not in image
+        )
+
+    def test_json_rejects_moved_run(self):
+        # move one run of (2, 1) into the empty cell (2, 3): the runs still
+        # tile 1..63, so only the recomputation can tell
+        payload = joint_table(pair_dependence(4, 8)).to_json_dict()
+        tampered = copy.deepcopy(payload)
+        cells = {(c["j1"], c["j2"]): c for c in tampered["cells"]}
+        cells[(2, 3)]["runs"] = cells[(2, 1)]["runs"]
+        cells[(2, 1)]["runs"] = []
+        assert sorted(D for c in tampered["cells"] for lo, hi in c["runs"]
+                      for D in range(lo, hi)) == list(range(1, 64))
+        with pytest.raises(ValueError):
+            JointTable.from_json_dict(tampered)
+
+    def test_json_rejects_absurd_exponents_before_computing(self):
+        payload = joint_table(pair_dependence(4, 8)).to_json_dict()
+        # 2**(10**18) would never finish; the cap check must come first
+        payload["dependence"] = {"a": 2, "e1": 10**9, "e2": 10**9 + 1, "combined_base": 64}
+        with pytest.raises(ResourceLimitError):
+            JointTable.from_json_dict(payload)
+
+    def test_json_rejects_mismatched_sizes_before_expanding(self):
+        payload = joint_table(pair_dependence(4, 8)).to_json_dict()
+        top = copy.deepcopy(payload)
+        top["combined_base"] = 10**12
+        inner = copy.deepcopy(payload)
+        inner["dependence"]["combined_base"] = 10**12
+        # a real pair within the cap whose table has 2**24 - 1 runs: the
+        # 21 cells of the payload give it away before anything is built
+        big = copy.deepcopy(payload)
+        big["dependence"] = {"a": 4096, "e1": 1, "e2": 2, "combined_base": 2**24}
+        big["combined_base"] = 2**24
+        for bad in (top, inner, big):
+            with pytest.raises(ValueError):
+                JointTable.from_json_dict(bad)
 
 
 class TestImageExact:

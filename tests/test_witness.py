@@ -1,8 +1,15 @@
 """Witness-search tests: anchored scans, certificates, observed images."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import jointdigits
 
 from jointdigits import (
     ResourceLimitError,
@@ -101,6 +108,28 @@ class TestFindWitness:
         r = find_witness(WitnessQuery(bases=(3, 10, 7), target=(2, 4, 3)))
         assert r.found
         assert verify_witness(r.x, (3, 10, 7), (2, 4, 3))
+
+
+def test_recheck_survives_optimize_flag():
+    # python -O strips assert statements; the re-check must still raise
+    code = textwrap.dedent(
+        """
+        import jointdigits.witness as w
+        w._scan_anchor = lambda bases, target, anchor, budget: (10, 0)
+        try:
+            w.find_witness(w.WitnessQuery(bases=(3, 10), target=(2, 9)))
+        except RuntimeError as exc:
+            print("raised:", exc)
+        """
+    )
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")
 
 
 class TestAnchoringExactness:
