@@ -12,24 +12,27 @@ surjectivity of the digit map is established for independent bases.
 This module renders that picture empirically: rectangle geometry and
 measures at certified precision, plus orbit samplers with hit counts.
 Density is the proven statement; the frequency-vs-measure comparison here
-is a diagnostic only.  All torus arithmetic uses interval enclosures with
-directed rounding (mpmath), and a sample point that cannot be certified on
-one side of a rectangle boundary is counted as boundary-ambiguous, never
-silently classified.  Sample points that are exact rationals are
-classified by the exact integer core instead, so those counts carry no
-rounding at all.
+is a diagnostic only.  Enclosures of 1/ln b and log_b j are built once per
+base (mpmath) with outward-rounded integer bounds; points are classified
+on those integers, and one that cannot be certified on one side of a
+rectangle boundary is counted as boundary-ambiguous, never silently
+classified.  Sample points that are exact rationals are classified by the
+exact integer core instead, so those counts carry no rounding at all.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_rational
 
 from .digits import _Bracket, as_positive_rational, check_bases, check_digit, iter_digit_tuples
 from .errors import ResourceLimitError
@@ -57,18 +60,14 @@ DEFAULT_TUPLE_CAP = 1 << 16
 
 SAMPLERS = ("integer-scan", "geometric", "low-discrepancy")
 
-_contexts: dict[int, MPIntervalContext] = {}
 
-
+@lru_cache(maxsize=None)
 def _context(precision: int) -> MPIntervalContext:
     """Interval context at the given precision (shared per precision)."""
     if precision < 16:
         raise ValueError(f"precision must be >= 16 bits, got {precision}")
-    ctx = _contexts.get(precision)
-    if ctx is None:
-        ctx = MPIntervalContext()
-        ctx.prec = precision
-        _contexts[precision] = ctx
+    ctx = MPIntervalContext()
+    ctx.prec = precision
     return ctx
 
 
@@ -78,16 +77,52 @@ def _endpoints(x, precision: int):
         return mpmath.mpf(x.a), mpmath.mpf(x.b)
 
 
-def _unique_floor(x, precision: int) -> int | None:
-    """floor(x) when both interval endpoints agree on it, else None."""
-    lo, hi = _endpoints(x, precision)
-    with mpmath.mp.workprec(precision + 16):
-        fl, fh = int(mpmath.floor(lo)), int(mpmath.floor(hi))
-    return fl if fl == fh else None
+def _fixed(x, precision: int) -> tuple[int, int]:
+    """Outward-rounded integer bounds (floor, ceil) of 2**precision * x."""
+    (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x, precision))
+    return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
 
-def _rational_iv(x: Fraction, ctx: MPIntervalContext):
-    return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+class _LogTable:
+    """Enclosures of 1/ln b and of the edges log_b j, j = 1..b, at precision
+    P, each with outward-rounded integer bounds at scale 2**P.  The O(b)
+    edges are built on first use."""
+
+    def __init__(self, b: int, precision: int):
+        self.b, self.precision = b, precision
+        ctx = _context(precision)
+        self.log_b = ctx.log(ctx.mpf(b))
+        self.inv = ctx.one / self.log_b
+        self.inv_fixed = _fixed(self.inv, precision)
+
+    def edge(self, j: int):
+        """Enclosure of log_b j, for one rectangle without all b edges."""
+        ctx = _context(self.precision)
+        return ctx.log(ctx.mpf(j)) / self.log_b
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(map(self.edge, range(1, self.b + 1)))
+
+    @cached_property
+    def edge_fixed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(zip(*(_fixed(e, self.precision) for e in self.edges)))
+
+    def split(self, lo: int, hi: int, den: int) -> tuple[int, int, int] | None:
+        """For every v in [lo/den, hi/den]: k = floor(v / ln b) and integer
+        bounds of 2**P * (v / ln b - k), or None if k is not certified."""
+        inv_lo, inv_hi = self.inv_fixed
+        y_lo = lo * (inv_lo if lo >= 0 else inv_hi) // den
+        y_hi = -(-hi * (inv_hi if hi >= 0 else inv_lo) // den)
+        k = y_lo >> self.precision
+        if y_hi >> self.precision != k:
+            return None
+        return k, y_lo - (k << self.precision), y_hi - (k << self.precision)
+
+
+# 64 tables cover every base and precision of a query; the bound keeps a
+# process that sweeps many bases from growing without limit
+_log_table = lru_cache(maxsize=64)(_LogTable)
 
 
 @dataclass(frozen=True)
@@ -112,8 +147,7 @@ def frequency_vector(
 ) -> FrequencyVector:
     """Compute (1/ln b_1, ..., 1/ln b_n) as certified enclosures."""
     bs = check_bases(bases)
-    ctx = _context(precision)
-    omega = tuple(ctx.one / ctx.log(ctx.mpf(b)) for b in bs)
+    omega = tuple(_log_table(b, precision).inv for b in bs)
     return FrequencyVector(bases=bs, precision=precision, omega=omega)
 
 
@@ -173,13 +207,12 @@ def rectangle_of(
     tgt = tuple(target)
     if len(tgt) != len(bs):
         raise ValueError(f"target length {len(tgt)} != number of bases {len(bs)}")
-    ctx = _context(precision)
     lows, highs = [], []
     for j, b in zip(tgt, bs):
         check_digit(j, b)
-        logb = ctx.log(ctx.mpf(b))
-        lows.append(ctx.log(ctx.mpf(j)) / logb)
-        highs.append(ctx.log(ctx.mpf(j + 1)) / logb)
+        table = _log_table(b, precision)
+        lows.append(table.edge(j))
+        highs.append(table.edge(j + 1))
     return Rectangle(
         bases=bs, digits=tgt, precision=precision, lows=tuple(lows), highs=tuple(highs)
     )
@@ -204,14 +237,14 @@ def measure_map(
     """Rectangle measure enclosure for every digit tuple of the bases."""
     bs = check_bases(bases)
     ctx = _context(precision)
+    tuples = _codomain(bs, cap)
     # coordinate measures log_b(j+1) - log_b(j), computed once per base
     coord: list[list] = []
     for b in bs:
-        logb = ctx.log(ctx.mpf(b))
-        logs = [ctx.log(ctx.mpf(j)) / logb for j in range(1, b + 1)]
+        logs = _log_table(b, precision).edges
         coord.append([logs[j] - logs[j - 1] for j in range(1, b)])
     out = {}
-    for tup in _codomain(bs, cap):
+    for tup in tuples:
         m = ctx.one
         for i, j in enumerate(tup):
             m = m * coord[i][j - 1]
@@ -237,30 +270,25 @@ def torus_digit_tuple(
 ) -> tuple[int, ...] | None:
     """Digit tuple of a rational x read off the torus, or None if ambiguous.
 
-    Interval route: encloses log_{b_i}(x), splits off the integer part,
-    and recovers the digit as floor(x / b_i**k) by exact interval
-    division.  Returns None when an enclosure straddles a rectangle
-    boundary; when it returns a tuple, it provably equals
-    leading_digit_tuple(x, bases).
+    Bounds log_b(x) by outward-rounded integers at scale 2**precision,
+    certifies k = floor(log_b x) when both bounds agree on it, and takes
+    the digit as floor(x / b**k) exactly.  Returns None when k cannot be
+    certified (x is near a power of b); when it returns a tuple, it
+    provably equals leading_digit_tuple(x, bases).
+
+    >>> torus_digit_tuple(56, (4, 8))  # 56 = 3.5 * 4**2 = 7 * 8
+    (3, 7)
     """
     xr = as_positive_rational(x)
     bs = check_bases(bases)
     ctx = _context(precision)
-    logx = ctx.log(ctx.mpf(xr.numerator)) - ctx.log(ctx.mpf(xr.denominator))
+    ln_x = _fixed(ctx.log(ctx.mpf(xr.numerator)) - ctx.log(ctx.mpf(xr.denominator)), precision)
     digits = []
     for b in bs:
-        y = logx / ctx.log(ctx.mpf(b))
-        k = _unique_floor(y, precision)
-        if k is None:
+        split = _log_table(b, precision).split(*ln_x, 1 << precision)
+        if split is None:
             return None
-        if k >= 0:
-            q = ctx.mpf(xr.numerator) / ctx.mpf(xr.denominator * b**k)
-        else:
-            q = ctx.mpf(xr.numerator * b**-k) / ctx.mpf(xr.denominator)
-        j = _unique_floor(q, precision)
-        if j is None:
-            return None
-        digits.append(j)
+        digits.append(int(xr / Fraction(b) ** split[0]))
     return tuple(digits)
 
 
@@ -269,24 +297,34 @@ def classify_parameter(
 ) -> tuple[int, ...] | None:
     """Digit tuple of the orbit point at parameter t (so x = e**t).
 
-    Coordinate i of the orbit point is t / ln(b_i) mod 1; the digit is
-    floor(b_i ** frac).  Returns None when any enclosure straddles an
-    integer (the point cannot be certified off a rectangle boundary).
+    Coordinate i of the orbit point is t / ln(b_i) mod 1; integer bounds
+    of t / ln(b_i) at scale 2**P are split by a shift and placed among
+    the edges log_{b_i}(j) by bisection.  Returns None when a bound pair
+    straddles an integer or an edge (the point may lie on a boundary).
+
+    >>> fv = frequency_vector((3, 10))
+    >>> classify_parameter(Fraction(7, 2), fv)  # x = e**3.5 = 33.1...
+    (1, 3)
     """
-    ctx = _context(fv.precision)
-    t_iv = _rational_iv(Fraction(t), ctx)
+    t = Fraction(t)
     digits = []
-    for om, b in zip(fv.omega, fv.bases):
-        y = t_iv * om
-        k = _unique_floor(y, fv.precision)
-        if k is None:
+    for b in fv.bases:
+        table = _log_table(b, fv.precision)
+        split = table.split(t.numerator, t.numerator, t.denominator)
+        if split is None:
             return None
-        d = ctx.exp((y - k) * ctx.log(ctx.mpf(b)))
-        j = _unique_floor(d, fv.precision)
-        if j is None:
+        _, f_lo, f_hi = split
+        lows, highs = table.edge_fixed
+        # edges 0 and b-1 are log_b(1) = 0 <= f_lo and log_b(b) >= 1 > f_lo
+        j = bisect_right(highs, f_lo)
+        if f_hi >= lows[j]:
             return None
         digits.append(j)
     return tuple(digits)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _van_der_corput(m: int) -> Fraction:
@@ -372,19 +410,37 @@ class CoverageReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoverageReport":
-        """Rebuild a report; measures are recomputed from bases+precision."""
-        bases = tuple(d["bases"])
-        precision = d["precision"]
-        counts = {
-            tuple(c["tuple"]): c["count"] for c in d["cells"] if c["count"] > 0
-        }
+        """Rebuild a report; measures are recomputed from bases+precision.
+
+        Every field is checked before the measures are built, and the
+        codomain size against the tuple cap before it is expanded.
+        """
+        bases = check_bases(d["bases"])
+        sampler, samples, precision = d["sampler"], d["samples"], d["precision"]
+        ambiguous, cells = d["boundary_ambiguous"], d["cells"]
+        if sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+        if not _is_int(precision) or precision < 16:
+            raise ValueError(f"precision must be an int >= 16, got {precision!r}")
+        if not (_is_int(samples) and _is_int(ambiguous) and 0 <= ambiguous <= samples):
+            raise ValueError("samples and boundary_ambiguous must be ints, 0 <= ambiguous <= samples")
+        if sampler != "low-discrepancy" and ambiguous != 0:
+            raise ValueError(f"exact sampler {sampler!r} has boundary-ambiguous samples")
+        tuples = list(_codomain(bases, DEFAULT_TUPLE_CAP))
+        if len(cells) != len(tuples) or any(
+            list(c["tuple"]) != list(tup) for c, tup in zip(cells, tuples)
+        ):
+            raise ValueError("cells are not the sorted digit tuples of the bases")
+        counts = [c["count"] for c in cells]
+        if not all(_is_int(n) and n >= 0 for n in counts) or sum(counts) != samples - ambiguous:
+            raise ValueError("counts must be ints >= 0 summing to samples - boundary_ambiguous")
         return cls(
             bases=bases,
-            sampler=d["sampler"],
-            samples=d["samples"],
+            sampler=sampler,
+            samples=samples,
             precision=precision,
-            hit_counts=counts,
-            boundary_ambiguous=d["boundary_ambiguous"],
+            hit_counts={tup: n for tup, n in zip(tuples, counts) if n > 0},
+            boundary_ambiguous=ambiguous,
             measures=measure_map(bases, precision=precision),
         )
 
@@ -436,24 +492,25 @@ def orbit_sample(
         raise ResourceLimitError(f"n_samples {n_samples} exceeds cap {sample_cap}")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+    if sampler == "geometric":
+        x = as_positive_rational(x0)
+        r = as_positive_rational(ratio)
+        if r == 1:
+            raise ValueError("geometric sampler needs ratio != 1")
+    if sampler == "low-discrepancy" and window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
     measures = measure_map(bs, precision=precision, cap=tuple_cap)
     counts: Counter = Counter()
     ambiguous = 0
     if sampler == "integer-scan":
         counts.update(iter_digit_tuples(bs, n_samples))
     elif sampler == "geometric":
-        x = as_positive_rational(x0)
-        r = as_positive_rational(ratio)
-        if r == 1:
-            raise ValueError("geometric sampler needs ratio != 1")
         brackets = [_Bracket(b) for b in bs]
         for _ in range(n_samples):
             counts[tuple([br.digit(x) for br in brackets])] += 1
             x *= r
     else:
         fv = frequency_vector(bs, precision=precision)
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
         for m in range(n_samples):
             tup = classify_parameter(window * _van_der_corput(m), fv)
             if tup is None:

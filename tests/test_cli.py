@@ -1,5 +1,6 @@
 """CLI tests: subcommands, output formats, exit statuses, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -239,6 +240,31 @@ class TestCoverage:
             )
             assert code == 0
             assert json.loads(out)["sampler"] == sampler
+
+    # digests of the output of the interval-arithmetic classifier; the
+    # fixed-point classifier that replaced it must print the same bytes
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--bases", "3,10,7", "--samples", "600", "--output", "csv"),
+                "aa6e75a9d7f0ce58afce9fe193416c02aa8ac41201f59eb7af0ff8bb6850bff3",
+            ),
+            (
+                ("--bases", "4,8", "--samples", "1500", "--output", "json"),
+                "a2c42cebf1839af02b06934b482d5135b4e24f9c0042d15eafe3b028171065ed",
+            ),
+            (
+                ("--bases", "3,10", "--samples", "400", "--window", "7",
+                 "--precision", "53", "--output", "text"),
+                "58d0482f05e54a14b3bfcc498a2db7827b217bea09a4bf8268e822b26e03d246",
+            ),
+        ],
+    )
+    def test_golden_low_discrepancy(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "coverage", "--sampler", "low-discrepancy", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_scan_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("JOINTDIGITS_SCAN_CAP", "10")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointdigits import (
     CoverageReport,
@@ -19,7 +21,41 @@ from jointdigits import (
     torus_digit_tuple,
     total_measure,
 )
-from jointdigits.torus import _context, _endpoints, _rational_iv
+from jointdigits.torus import _context, _endpoints
+
+
+def rational_iv(x: Fraction, ctx):
+    return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+
+
+def interval_floor(x, precision: int) -> int | None:
+    """floor(x) when both interval endpoints agree on it, else None."""
+    lo, hi = _endpoints(x, precision)
+    with mpmath.mp.workprec(precision + 16):
+        fl, fh = int(mpmath.floor(lo)), int(mpmath.floor(hi))
+    return fl if fl == fh else None
+
+
+def interval_classify_parameter(t: Fraction, fv) -> tuple[int, ...] | None:
+    """Oracle: the orbit point's digits by interval exp, floor(b ** frac)."""
+    ctx = _context(fv.precision)
+    t_iv = rational_iv(Fraction(t), ctx)
+    digits = []
+    for om, b in zip(fv.omega, fv.bases):
+        y = t_iv * om
+        k = interval_floor(y, fv.precision)
+        if k is None:
+            return None
+        d = ctx.exp((y - k) * ctx.log(ctx.mpf(b)))
+        j = interval_floor(d, fv.precision)
+        if j is None:
+            return None
+        digits.append(j)
+    return tuple(digits)
+
+
+distinct_bases = st.lists(st.integers(3, 60), min_size=1, max_size=3, unique=True)
+precisions = st.sampled_from((16, 24, 53, 128))
 
 
 def enclosure_contains(iv_value, value, precision=128) -> bool:
@@ -67,17 +103,17 @@ class TestRectangle:
     def test_contains_classification(self):
         ctx = _context(128)
         r = rectangle_of((4, 8), (1, 1))  # [0, 1/2) x [0, 1/3)
-        inside = (_rational_iv(Fraction(1, 5), ctx), _rational_iv(Fraction(1, 10), ctx))
+        inside = (rational_iv(Fraction(1, 5), ctx), rational_iv(Fraction(1, 10), ctx))
         assert r.contains(inside) == "inside"
-        outside = (_rational_iv(Fraction(7, 10), ctx), _rational_iv(Fraction(1, 10), ctx))
+        outside = (rational_iv(Fraction(7, 10), ctx), rational_iv(Fraction(1, 10), ctx))
         assert r.contains(outside) == "outside"
         at_origin = (ctx.mpf(0), ctx.mpf(0))
         assert r.contains(at_origin) == "inside"  # half-open: low edge in
-        straddling = (ctx.mpf([0.4999, 0.5001]), _rational_iv(Fraction(1, 10), ctx))
+        straddling = (ctx.mpf([0.4999, 0.5001]), rational_iv(Fraction(1, 10), ctx))
         assert r.contains(straddling) == "boundary"
         at_high_edge = (
-            _rational_iv(Fraction(1, 5), ctx),
-            _rational_iv(Fraction(1, 3), ctx),
+            rational_iv(Fraction(1, 5), ctx),
+            rational_iv(Fraction(1, 3), ctx),
         )
         assert r.contains(at_high_edge) in ("outside", "boundary")
 
@@ -146,6 +182,35 @@ class TestTorusClassification:
         fv = frequency_vector((4, 8, 10))
         assert classify_parameter(Fraction(0), fv) == (1, 1, 1)
 
+    @given(
+        bases=distinct_bases,
+        precision=precisions,
+        t=st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**7)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_classify_parameter_matches_interval_oracle(self, bases, precision, t):
+        fv = frequency_vector(bases, precision=precision)
+        got = classify_parameter(t, fv)
+        want = interval_classify_parameter(t, fv)
+        if got is not None and want is not None:
+            assert got == want
+
+    @given(
+        bases=distinct_bases,
+        precision=precisions,
+        x=st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_certified_torus_tuple_is_exact(self, bases, precision, x):
+        got = torus_digit_tuple(x, bases, precision=precision)
+        if got is not None:
+            assert got == leading_digit_tuple(x, bases)
+
+    def test_below_one_at_low_precision(self):
+        # ln x < 0: the integer bounds must keep their sign
+        for x in (Fraction(3, 4), Fraction(1, 7), Fraction(2, 10**9)):
+            assert torus_digit_tuple(x, (3, 10), precision=24) == leading_digit_tuple(x, (3, 10))
+
     def test_classify_parameter_matches_rectangle(self):
         fv = frequency_vector((3, 10))
         for m in (1, 5, 17):
@@ -207,6 +272,14 @@ class TestOrbitSample:
             assert 1 <= tup[0] <= 2 and 1 <= tup[1] <= 9
         assert rep.rectangles_hit > 5
 
+    def test_arguments_checked_before_measures(self):
+        # the codomain of (50, 51) exceeds tuple_cap, so a check that ran
+        # after the measure map would raise ResourceLimitError instead
+        with pytest.raises(ValueError, match="window"):
+            orbit_sample((50, 51), 10, "low-discrepancy", window=0, tuple_cap=100)
+        with pytest.raises(ValueError, match="ratio"):
+            orbit_sample((50, 51), 10, "geometric", ratio=Fraction(1), tuple_cap=100)
+
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             orbit_sample((3, 10), 10, sampler="sobol")
@@ -237,6 +310,45 @@ class TestOrbitSample:
         assert rebuilt.hit_counts == rep.hit_counts
         assert rebuilt.samples == rep.samples
         assert rebuilt.rectangles_total == rep.rectangles_total
+
+    def test_json_rejects_tampered_payloads(self):
+        payload = orbit_sample((3, 10), 50).to_json_dict()
+
+        def tampered(**changes):
+            d = dict(payload, cells=[dict(c) for c in payload["cells"]])
+            for key, value in changes.items():
+                if key.startswith("cell0_"):
+                    d["cells"][0][key[len("cell0_"):]] = value
+                else:
+                    d[key] = value
+            return d
+
+        bad = [
+            tampered(sampler="sobol"),
+            tampered(samples=5),
+            tampered(cell0_tuple=[9, 99]),
+            tampered(cell0_count=-1),
+            tampered(cell0_count=payload["cells"][0]["count"] + 1),
+            tampered(cell0_count=True),
+            tampered(boundary_ambiguous=1, samples=51),
+            tampered(precision=8),
+            tampered(precision=128.0),
+            tampered(bases=[3, 3]),
+            tampered(cells=payload["cells"][1:]),
+            tampered(cells=payload["cells"][::-1]),
+        ]
+        for d in bad:
+            with pytest.raises(ValueError):
+                CoverageReport.from_json_dict(d)
+        # the codomain size is checked against the cap before expansion
+        with pytest.raises(ResourceLimitError):
+            CoverageReport.from_json_dict(tampered(bases=[1009, 1013, 1019]))
+
+    def test_json_round_trip_every_sampler(self):
+        for sampler in ("geometric", "low-discrepancy"):
+            rep = orbit_sample((3, 10, 7), 300, sampler=sampler, precision=16)
+            payload = rep.to_json_dict()
+            assert CoverageReport.from_json_dict(payload).to_json_dict() == payload
 
     def test_deviations_are_reported(self):
         rep = orbit_sample((3, 10), 2000)
