@@ -48,7 +48,6 @@ from .image import (
     ImageReport,
     JointTable,
     attainable_by_power_criterion,
-    ceil_log,
     image_exact,
     image_via_table,
     joint_table,
@@ -116,7 +115,6 @@ __all__ = [
     "ImageReport",
     "JointTable",
     "attainable_by_power_criterion",
-    "ceil_log",
     "image_exact",
     "image_via_table",
     "joint_table",

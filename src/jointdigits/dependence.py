@@ -199,13 +199,11 @@ class DependenceReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DependenceReport":
-        return cls(
-            bases=tuple(d["bases"]),
-            dependent_pairs=tuple(
-                (p["i"], p["j"], DependencePair.from_json_dict(p["certificate"]))
-                for p in d["dependent_pairs"]
-            ),
-        )
+        """Rebuild the report of ``bases``; d must equal its JSON exactly."""
+        report = pairwise_report(d["bases"])
+        if d != report.to_json_dict():
+            raise ValueError("payload is not the dependence report of its bases")
+        return report
 
 
 def pairwise_report(bases: Iterable[int]) -> DependenceReport:

@@ -5,12 +5,13 @@ For dependent bases b1 = a**e1, b2 = a**e2 (gcd(e1,e2) = 1) a digit pair
 
     j1 / (j2 + 1)  <  a**c  <  (j1 + 1) / j2.
 
-The module decides that criterion by an exact scan over a provably
-sufficient finite window of c values (no logarithms, only integer
-cross-multiplications), and independently tabulates the whole image through
-the combined base b = b1**e2 = b2**e1: the joint digit pair of x is a
-function of the single base-b leading digit of x.  The two routes must
-agree cell for cell; tests hold them to that.
+a**c rises with c, so the criterion holds for some c iff it holds for the
+least c with a**c > j1/(j2+1), and that c is the smallest certificate.  The
+module finds it by a monotone walk down from a power known to lie above
+(integer cross-multiplications only, no logarithms), and independently
+tabulates the whole image through the combined base b = b1**e2 = b2**e1:
+the joint digit pair of x is a function of the single base-b leading digit
+of x.  The two routes must agree cell for cell; tests hold them to that.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from .dependence import DependencePair, pair_dependence
 from .digits import (
@@ -32,7 +34,6 @@ __all__ = [
     "AttainabilityVerdict",
     "JointTable",
     "ImageReport",
-    "ceil_log",
     "power_criterion_holds",
     "scan_window",
     "attainable_by_power_criterion",
@@ -40,19 +41,6 @@ __all__ = [
     "image_via_table",
     "image_exact",
 ]
-
-
-def ceil_log(a: int, x: int) -> int:
-    """Smallest m >= 0 with a**m >= x, for a >= 2, x >= 1."""
-    if a < 2:
-        raise ValueError(f"need a >= 2, got {a}")
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    m, pw = 0, 1
-    while pw < x:
-        pw *= a
-        m += 1
-    return m
 
 
 def power_criterion_holds(a: int, c: int, j1: int, j2: int) -> bool:
@@ -70,27 +58,23 @@ def power_criterion_holds(a: int, c: int, j1: int, j2: int) -> bool:
 
 
 def scan_window(dep: DependencePair) -> tuple[int, int]:
-    """Inclusive c-window outside which the criterion provably fails.
+    """Inclusive c-window that holds every least power, with one unit of slack.
 
-    Any candidate power must satisfy 1/b2 <= j1/(j2+1) < a**c and
-    a**c < (j1+1)/j2 <= b1, so c is confined to roughly
-    [-log_a(b2), log_a(b1)]; one unit of slack on each side makes the
-    endpoints themselves provably failing, which the tests re-verify.
+    1/b2 <= j1/(j2+1) and j1/(j2+1) < b1, so the least c with
+    a**c > j1/(j2+1) lies in [1 - e2, e1]; the endpoints -(e2 + 1) and
+    e1 + 1 themselves provably fail the criterion, which the tests re-verify.
     """
-    lo = -(ceil_log(dep.a, dep.base2) + 1)
-    hi = ceil_log(dep.a, dep.base1) + 1
-    return lo, hi
+    return -(dep.e2 + 1), dep.e1 + 1
 
 
 @dataclass(frozen=True)
 class AttainabilityVerdict:
     """Outcome of the power-interval criterion for one digit pair.
 
-    If attainable, ``certificate`` is the smallest integer c in the scan
-    window satisfying the criterion; otherwise certificate is None and no
-    integer in ``scan_range`` (inclusive) satisfies it, which settles all
-    integers because powers of a leave the admissible interval outside the
-    window.
+    If attainable, ``certificate`` is the smallest integer c satisfying the
+    criterion: the least c with a**c > j1/(j2+1).  Otherwise certificate is
+    None and no integer satisfies it; ``scan_range`` (inclusive) is a window
+    whose endpoints provably fail, so a scan of it re-checks the verdict.
     """
 
     pair: tuple[int, int]
@@ -117,10 +101,38 @@ class AttainabilityVerdict:
         )
 
 
+def _row_verdicts(
+    dep: DependencePair, j1: int, j2s: Iterable[int]
+) -> Iterator[AttainabilityVerdict]:
+    """Verdicts of (j1, j2) for ascending j2, each decided at its least power.
+
+    j1/(j2+1) falls as j2 rises, so one walk serves the row: from the top of
+    the window, where a**c = P/Q is above every j1/(j2+1), c steps down while
+    a**(c-1) is still above, i.e. P*(j2+1) > a*j1*Q.
+    """
+    window = scan_window(dep)
+    a, c, P, Q = dep.a, window[1], dep.a ** window[1], 1
+    for j2 in j2s:
+        while P * (j2 + 1) > a * j1 * Q:
+            if c > 0:
+                P //= a
+            else:
+                Q *= a
+            c -= 1
+        holds = power_criterion_holds(a, c, j1, j2)
+        yield AttainabilityVerdict(
+            pair=(j1, j2), attainable=holds, certificate=c if holds else None,
+            scan_range=window,
+        )
+
+
 def attainable_by_power_criterion(
     dep: DependencePair, j1: int, j2: int
 ) -> AttainabilityVerdict:
     """Decide whether (j1, j2) is attainable for the dependent pair.
+
+    The pair is attainable iff the least power a**c above j1/(j2+1) is also
+    below (j1+1)/j2; a walk down from the top of the window finds that c.
 
     >>> dep = pair_dependence(4, 8)
     >>> attainable_by_power_criterion(dep, 2, 3).attainable
@@ -130,15 +142,7 @@ def attainable_by_power_criterion(
     """
     check_digit(j1, dep.base1)
     check_digit(j2, dep.base2)
-    lo, hi = scan_window(dep)
-    for c in range(lo, hi + 1):
-        if power_criterion_holds(dep.a, c, j1, j2):
-            return AttainabilityVerdict(
-                pair=(j1, j2), attainable=True, certificate=c, scan_range=(lo, hi)
-            )
-    return AttainabilityVerdict(
-        pair=(j1, j2), attainable=False, certificate=None, scan_range=(lo, hi)
-    )
+    return next(_row_verdicts(dep, j1, [j2]))
 
 
 @dataclass(frozen=True)
@@ -310,23 +314,19 @@ class ImageReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ImageReport":
-        dep = (
-            DependencePair.from_json_dict(d["dependence"])
-            if d.get("dependence")
-            else None
-        )
-        verdicts = []
-        for p in d["pairs"]:
-            cert = p["certificate_c"]
-            verdicts.append(
-                AttainabilityVerdict(
-                    pair=tuple(p["pair"]),
-                    attainable=p["attainable"],
-                    certificate=None if cert == "density" else cert,
-                    scan_range=scan_window(dep) if dep else None,
-                )
-            )
-        return cls(bases=tuple(d["bases"]), dependence=dep, verdicts=tuple(verdicts))
+        """Rebuild the report of ``bases`` (pair count capped first); d must equal its JSON."""
+        b1, b2 = d["bases"]
+        _check_pair_count(check_base(b1), check_base(b2))
+        report = image_exact(b1, b2, allow_independent=d["dependence"] is None)
+        if d != report.to_json_dict():
+            raise ValueError("payload is not the image report of its bases")
+        return report
+
+
+def _check_pair_count(b1: int, b2: int) -> None:
+    n, cap = (b1 - 1) * (b2 - 1), DEFAULT_ENUMERATION_CAP
+    if n > cap:
+        raise ResourceLimitError(f"{n} digit pairs exceed enumeration cap {cap}")
 
 
 def image_exact(
@@ -337,7 +337,9 @@ def image_exact(
     For independent bases the image is the whole codomain; that case is an
     IndependentBasesError unless allow_independent is set, in which case
     the report marks every pair attainable "by density" (no integer
-    certificate exists or is needed).
+    certificate exists or is needed).  Past DEFAULT_ENUMERATION_CAP pairs it
+    refuses before any verdict is built.  One least-power walk per j1 row
+    costs O(b1*b2 + b1*window) comparisons.
 
     >>> sorted(image_exact(4, 8).excluded)
     [(2, 3), (2, 6), (2, 7), (3, 2), (3, 4), (3, 5)]
@@ -345,13 +347,14 @@ def image_exact(
     check_base(b1)
     check_base(b2)
     dep = pair_dependence(b1, b2)
+    if dep is None and not allow_independent:
+        raise IndependentBasesError(
+            f"bases {b1} and {b2} are multiplicatively independent; the joint "
+            "digit map is surjective, so the exact image is trivially the whole "
+            "codomain (pass allow_independent=True for the explicit report)"
+        )
+    _check_pair_count(b1, b2)
     if dep is None:
-        if not allow_independent:
-            raise IndependentBasesError(
-                f"bases {b1} and {b2} are multiplicatively independent; the joint "
-                "digit map is surjective, so the exact image is trivially the whole "
-                "codomain (pass allow_independent=True for the explicit report)"
-            )
         verdicts = tuple(
             AttainabilityVerdict(
                 pair=(j1, j2), attainable=True, certificate=None, scan_range=None
@@ -360,9 +363,5 @@ def image_exact(
             for j2 in range(1, b2)
         )
         return ImageReport(bases=(b1, b2), dependence=None, verdicts=verdicts)
-    verdicts = tuple(
-        attainable_by_power_criterion(dep, j1, j2)
-        for j1 in range(1, b1)
-        for j2 in range(1, b2)
-    )
+    verdicts = tuple(v for j1 in range(1, b1) for v in _row_verdicts(dep, j1, range(1, b2)))
     return ImageReport(bases=(b1, b2), dependence=dep, verdicts=verdicts)

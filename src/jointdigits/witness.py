@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dependence import pairwise_report
+from .dependence import pair_dependence, pairwise_report
 from .digits import (
     _Bracket,
     as_positive_rational,
@@ -131,24 +131,42 @@ class WitnessResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WitnessResult":
-        common = dict(
-            outcome=d["outcome"],
-            bases=tuple(d["bases"]),
-            target=tuple(d["target"]),
-        )
+        """Parse a payload, checking every field against its bases and target.
+
+        A found x must be target[anchor] * bases[anchor]**k and a witness, with
+        k bounded by the bit length of x before the power is taken; a
+        certificate must be the recomputed verdict of a dependent pair.
+        """
+        q = WitnessQuery(bases=d["bases"], target=d["target"])
+        common = dict(outcome=d["outcome"], bases=q.bases, target=q.target)
         if d["outcome"] == FOUND:
-            return cls(**common, x=int(d["x"]), anchor_index=d["anchor"], k=d["k"])
+            x, anchor, k = int(d["x"]), d["anchor"], d["k"]
+            if not (
+                type(anchor) is type(k) is int
+                and anchor in range(len(q.bases))
+                and k in range(x.bit_length())
+                and x == q.target[anchor] * q.bases[anchor] ** k
+                and verify_witness(x, q.bases, q.target)
+            ):
+                raise ValueError(f"x = {x} is not the anchored witness the payload claims")
+            return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
-            return cls(
-                **common,
-                certificate=AttainabilityVerdict.from_json_dict(d["certificate"]),
-                obstruction=tuple(d["obstruction"]),
-            )
-        return cls(
-            **common,
-            k_reached=d["k_reached"],
-            assumption_note=d.get("assumption_note"),
-        )
+            i, j = d["obstruction"]
+            n = len(q.bases)
+            dep = pair_dependence(q.bases[i], q.bases[j]) if 0 <= i < j < n else None
+            if dep is None:
+                raise ValueError(f"obstruction {(i, j)} is not a dependent pair of the bases")
+            verdict = attainable_by_power_criterion(dep, q.target[i], q.target[j])
+            if verdict.attainable or d["certificate"] != verdict.to_json_dict():
+                raise ValueError("certificate is not the recomputed verdict of its pair")
+            return cls(**common, certificate=verdict, obstruction=(i, j))
+        if d["outcome"] == EXHAUSTED:
+            k_reached, note = d["k_reached"], _exhaustion_note(len(q.bases))
+            if not (type(k_reached) is int and k_reached >= 1
+                    and d["assumption_note"] == note):
+                raise ValueError("exhausted needs k_reached >= 1 and its standard note")
+            return cls(**common, k_reached=k_reached, assumption_note=note)
+        raise ValueError(f"unknown outcome {d['outcome']!r}")
 
 
 def _exhaustion_note(n_bases: int) -> str:

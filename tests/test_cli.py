@@ -150,6 +150,40 @@ class TestImage:
         code, _, err = run(capsys, "image", "--bases", "4,8,16")
         assert code == 1 and "two bases" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("--bases", "3,43046721"), ("--bases", "3,100000000", "--allow-trivial")]
+    )
+    def test_enumeration_cap(self, capsys, monkeypatch, argv):
+        # tens of millions of pairs: refused before the first verdict is built
+        def never(*args, **kwargs):
+            raise AssertionError("built a verdict past the enumeration cap")
+
+        monkeypatch.setattr("jointdigits.image.AttainabilityVerdict", never)
+        code, out, err = run(capsys, "image", *argv)
+        assert code == 1 and out == "" and err.startswith("error:") and "cap" in err
+
+    # digests of the output of the per-pair c-window scan; the least-power
+    # walk that replaced it must print the same bytes
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--bases", "81,243"),
+             "bdaaa47402adf982bc340fd3d21e7c1d14c9c32619b5aafa2251ef019963c1b8"),
+            (("--bases", "8,4"),
+             "4151805bb4d38730bc8b63e32c6d27983ab3f6add1fb14b1af25488040262a28"),
+            (("--bases", "125,25"),
+             "054d1bbcf55c62ac1ad10570a15ab5c70c59aee4ed6eabd853e11943c5868edb"),
+            (("--bases", "3,10", "--allow-trivial"),
+             "789241087005f042fbc155b702aff2f1fd1bfbd22915065f6f036e9f8a397d9e"),
+            (("--bases", "12,1728", "--output", "text"),
+             "186e37e1d2813a5625d7b33f43e3f43ad683cecaaabad3ea1b8ead22aff87c0b"),
+        ],
+    )
+    def test_golden(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "image", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestWitness:
     def test_found_json(self, capsys):

@@ -177,3 +177,16 @@ class TestJsonRoundTrip:
         report = pairwise_report((4, 8, 10, 16))
         rebuilt = DependenceReport.from_json_dict(report.to_json_dict())
         assert rebuilt == report
+
+    def test_report_rejects_tampered_payloads(self):
+        payload = pairwise_report((4, 8, 10)).to_json_dict()
+        repeated = dict(payload, bases=[4, 4])
+        repeated["dependent_pairs"] = [dict(payload["dependent_pairs"][0], j=1)]
+        swapped = dict(payload, bases=[4, 8, 10])
+        swapped["dependent_pairs"] = [
+            {"i": 0, "j": 1, "certificate": {"a": 2, "e1": 3, "e2": 2, "combined_base": 64}}
+        ]
+        dropped = dict(payload, dependent_pairs=[], all_pairwise_independent=True)
+        for bad in (repeated, swapped, dropped):
+            with pytest.raises(ValueError):
+                DependenceReport.from_json_dict(bad)

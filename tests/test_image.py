@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -16,7 +17,6 @@ from jointdigits import (
     JointTable,
     ResourceLimitError,
     attainable_by_power_criterion,
-    ceil_log,
     image_exact,
     image_via_table,
     joint_table,
@@ -45,6 +45,19 @@ def criterion_oracle(a, j1, j2, c_lo=-64, c_hi=64):
         if Fraction(j1, j2 + 1) < p < Fraction(j1 + 1, j2):
             return c
     return None
+
+
+def window_scan_oracle(dep, j1, j2):
+    """Oracle: the per-pair scan, testing every c of scan_window(dep) in turn."""
+    lo, hi = scan_window(dep)
+    for c in range(lo, hi + 1):
+        if power_criterion_holds(dep.a, c, j1, j2):
+            return AttainabilityVerdict(
+                pair=(j1, j2), attainable=True, certificate=c, scan_range=(lo, hi)
+            )
+    return AttainabilityVerdict(
+        pair=(j1, j2), attainable=False, certificate=None, scan_range=(lo, hi)
+    )
 
 
 def digit_set_oracle(b, e, j):
@@ -80,6 +93,13 @@ SMALL_DEPENDENCES = [
     for dep in [DependencePair(a=a, e1=e1, e2=e2)]
     if min(dep.base1, dep.base2) >= 3 and dep.combined_base <= 5000
 ]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("reached past the enumeration cap")
+
+
+_image_exact = lru_cache(maxsize=None)(image_exact)
 
 
 class TestPowerCriterion:
@@ -119,10 +139,20 @@ class TestPowerCriterion:
             for j1 in range(1, b1):
                 for j2 in range(1, b2):
                     v = attainable_by_power_criterion(dep, j1, j2)
-                    oracle_c = criterion_oracle(dep.a, j1, j2)
-                    assert v.attainable == (oracle_c is not None)
-                    if v.attainable:
-                        assert power_criterion_holds(dep.a, v.certificate, j1, j2)
+                    # the least c of the criterion, None when there is none
+                    assert v.certificate == criterion_oracle(dep.a, j1, j2)
+                    assert v.attainable == (v.certificate is not None)
+
+    @given(dep=st.sampled_from(SMALL_DEPENDENCES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walk_matches_window_scan_oracle(self, dep, data):
+        j1 = data.draw(st.integers(1, dep.base1 - 1), label="j1")
+        j2 = data.draw(st.integers(1, dep.base2 - 1), label="j2")
+        expected = window_scan_oracle(dep, j1, j2)
+        assert attainable_by_power_criterion(dep, j1, j2) == expected
+        # image_exact carries the walk along the j1 row; verdicts are j1-major
+        row_major = _image_exact(dep.base1, dep.base2).verdicts
+        assert row_major[(j1 - 1) * (dep.base2 - 1) + j2 - 1] == expected
 
     def test_window_endpoints_provably_fail(self):
         # outside [lo, hi] the power is already past the admissible interval
@@ -143,12 +173,6 @@ class TestPowerCriterion:
             attainable_by_power_criterion(dep, 4, 1)
         with pytest.raises(ValueError):
             attainable_by_power_criterion(dep, 1, 8)
-
-    def test_ceil_log(self):
-        assert ceil_log(2, 8) == 3
-        assert ceil_log(2, 9) == 4
-        assert ceil_log(5, 1) == 0
-        assert ceil_log(3, 3) == 1
 
 
 class TestJointTable:
@@ -303,6 +327,7 @@ class TestImageExact:
         for args in [(4, 8), (9, 27)]:
             report = image_exact(*args)
             rebuilt = ImageReport.from_json_dict(report.to_json_dict())
+            assert rebuilt == report
             assert rebuilt.bases == report.bases
             assert rebuilt.dependence == report.dependence
             assert rebuilt.attainable == report.attainable
@@ -311,6 +336,38 @@ class TestImageExact:
         rebuilt = ImageReport.from_json_dict(trivial.to_json_dict())
         assert rebuilt.dependence is None
         assert rebuilt.attainable == trivial.attainable
+
+    def test_json_rejects_tampered_verdicts(self):
+        # each tampering keeps counts and the excluded list consistent, so
+        # only the recomputation can tell
+        payload = image_exact(4, 8).to_json_dict()
+        cert7 = copy.deepcopy(payload)
+        for p in cert7["pairs"]:
+            if p["pair"] == [2, 3]:
+                p["attainable"], p["certificate_c"] = True, 7
+        cert7["excluded"].remove([2, 3])
+        cert7["attainable_count"], cert7["excluded_count"] = 16, 5
+        density = image_exact(3, 10, allow_independent=True).to_json_dict()
+        density["pairs"][0]["attainable"] = False
+        density["excluded"] = [density["pairs"][0]["pair"]]
+        density["attainable_count"], density["excluded_count"] = 17, 1
+        for bad in (cert7, density):
+            with pytest.raises(ValueError):
+                ImageReport.from_json_dict(bad)
+
+    def test_json_rejects_oversized_bases_before_rebuilding(self, monkeypatch):
+        monkeypatch.setattr("jointdigits.image.image_exact", _never_called)
+        payload = {"bases": [3, 43046721], "dependence": None, "pairs": []}
+        with pytest.raises(ResourceLimitError):
+            ImageReport.from_json_dict(payload)
+
+    def test_enumeration_cap_refuses_before_any_verdict(self, monkeypatch):
+        # 2 * 43046720 and 2 * 99999999 pairs, both past DEFAULT_ENUMERATION_CAP
+        monkeypatch.setattr("jointdigits.image.AttainabilityVerdict", _never_called)
+        with pytest.raises(ResourceLimitError):
+            image_exact(3, 43046721)
+        with pytest.raises(ResourceLimitError):
+            image_exact(3, 10**8, allow_independent=True)
 
     def test_verdict_round_trip(self):
         v = attainable_by_power_criterion(pair_dependence(4, 8), 3, 6)

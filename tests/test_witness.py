@@ -208,6 +208,60 @@ class TestWitnessResultJson:
         rebuilt = WitnessResult.from_json_dict(payload)
         assert rebuilt.x == r.x and rebuilt.outcome == r.outcome
 
+    @pytest.mark.parametrize(
+        "bases, target, budget",
+        [((3, 10), (2, 9), 5000), ((3, 10), (2, 9), 3), ((4, 8), (3, 7), 5000),
+         ((4, 8), (2, 3), 5000), ((4, 8, 10), (1, 1, 9), 5000), ((10, 4, 8), (7, 3, 4), 5000),
+         ((3, 10, 7), (2, 9, 5), 1)],
+    )
+    def test_every_outcome_round_trips_exactly(self, bases, target, budget):
+        payload = find_witness(WitnessQuery(bases=bases, target=target, budget=budget)).to_json_dict()
+        assert WitnessResult.from_json_dict(payload).to_json_dict() == payload
+
+    def test_found_rejects_non_witnesses(self):
+        payload = find_witness(WitnessQuery(bases=(3, 10), target=(2, 9))).to_json_dict()
+        five = dict(payload, x="5", k=0)  # digits (1, 5)
+        # 2 * 3**15 is on the anchor's orbit but has base-10 digit 2
+        off_orbit_digit = dict(payload, x=str(2 * 3**15), k=15)
+        wrong_k = dict(payload, k=13)
+        wrong_anchor = dict(payload, anchor=1)
+        huge_k = dict(payload, k=10**12)  # refused before 3**k is taken
+        float_k = dict(payload, k=14.0)
+        bool_anchor = dict(payload, anchor=False)
+        for bad in (five, off_orbit_digit, wrong_k, wrong_anchor, huge_k, float_k, bool_anchor):
+            with pytest.raises(ValueError):
+                WitnessResult.from_json_dict(bad)
+
+    def test_not_attainable_rejects_bad_certificates(self):
+        payload = find_witness(WitnessQuery(bases=(4, 8, 10), target=(2, 3, 1))).to_json_dict()
+        assert payload["obstruction"] == [0, 1]
+        independent = dict(payload, obstruction=[1, 2])
+        reversed_pair = dict(payload, obstruction=[1, 0])
+        out_of_range = dict(payload, obstruction=[0, 3])
+        forged = dict(payload, certificate=dict(payload["certificate"], attainable=True,
+                                                certificate_c=7))
+        wrong_window = dict(payload, certificate=dict(payload["certificate"], scan_range=[0, 1]))
+        attainable = dict(payload, target=[2, 1, 1])
+        for bad in (independent, reversed_pair, out_of_range, forged, wrong_window, attainable):
+            with pytest.raises(ValueError):
+                WitnessResult.from_json_dict(bad)
+
+    def test_exhausted_rejects_bad_fields(self):
+        payload = find_witness(
+            WitnessQuery(bases=(3, 10, 7), target=(2, 9, 5), budget=1)
+        ).to_json_dict()
+        for bad in (dict(payload, k_reached=0), dict(payload, k_reached="1"),
+                    dict(payload, assumption_note="a witness cannot exist")):
+            with pytest.raises(ValueError):
+                WitnessResult.from_json_dict(bad)
+
+    def test_rejects_invalid_query_fields(self):
+        payload = find_witness(WitnessQuery(bases=(3, 10), target=(2, 9))).to_json_dict()
+        for bad in (dict(payload, bases=[3, 3]), dict(payload, target=[2, 10]),
+                    dict(payload, target=[2]), dict(payload, outcome="maybe")):
+            with pytest.raises(ValueError):
+                WitnessResult.from_json_dict(bad)
+
     def test_not_attainable_round_trip(self):
         r = find_witness(WitnessQuery(bases=(4, 8), target=(2, 3)))
         rebuilt = WitnessResult.from_json_dict(r.to_json_dict())
