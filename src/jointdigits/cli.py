@@ -17,7 +17,8 @@ byte-identical stdout.
 
 Resource caps default to the library defaults and can be overridden with
 the environment variables JOINTDIGITS_ENUM_CAP (digit-set and table
-enumeration) and JOINTDIGITS_SCAN_CAP (integer scans and sample counts).
+enumeration) and JOINTDIGITS_SCAN_CAP (integer scans, sample counts and the
+witness budget).
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def _cmd_witness(args) -> int:
         anchor=args.anchor,
         retry_other_anchors=not args.no_retry_anchors,
     )
-    result = find_witness(query)
+    result = find_witness(query, budget_cap=_scan_cap())
     if args.output == "json":
         _emit_json(result.to_json_dict())
         return 0

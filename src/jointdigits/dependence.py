@@ -13,8 +13,8 @@ roots, no factorization engine needed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterable
 
@@ -165,6 +165,11 @@ def pair_dependence(b1: int, b2: int) -> DependencePair | None:
     r2 = primitive_root(b2)
     if r1.root != r2.root:
         return None
+    return _common_power(r1, r2)
+
+
+def _common_power(r1: PrimitiveRoot, r2: PrimitiveRoot) -> DependencePair:
+    """Certificate of two distinct bases with the same canonical root."""
     g = gcd(r1.exponent, r2.exponent)
     return DependencePair(a=r1.root**g, e1=r1.exponent // g, e2=r2.exponent // g)
 
@@ -207,7 +212,12 @@ class DependenceReport:
 
 
 def pairwise_report(bases: Iterable[int]) -> DependenceReport:
-    """Run pair_dependence over all C(n,2) pairs of distinct bases.
+    """The dependent pairs among distinct bases, in (i, j) order.
+
+    Two bases are dependent iff their canonical roots agree, so one
+    primitive_root per base and a grouping by root replace the C(n,2)
+    pair_dependence calls: the work is linear in n plus the number of
+    dependent pairs.
 
     >>> pairwise_report((4, 8, 10)).dependent_pairs
     ((0, 1, DependencePair(a=2, e1=2, e2=3)),)
@@ -215,9 +225,14 @@ def pairwise_report(bases: Iterable[int]) -> DependenceReport:
     bs = check_bases(bases)
     if len(bs) < 2:
         raise ValueError("need at least two bases")
-    found = []
-    for i, j in combinations(range(len(bs)), 2):
-        dep = pair_dependence(bs[i], bs[j])
-        if dep is not None:
-            found.append((i, j, dep))
-    return DependenceReport(bases=bs, dependent_pairs=tuple(found))
+    roots = [primitive_root(b) for b in bs]
+    by_root = defaultdict(list)
+    for i, r in enumerate(roots):
+        by_root[r.root].append(i)
+    found = tuple(
+        (i, j, _common_power(roots[i], roots[j]))
+        for i, r in enumerate(roots)
+        for j in by_root[r.root]
+        if j > i
+    )
+    return DependenceReport(bases=bs, dependent_pairs=found)

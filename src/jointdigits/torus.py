@@ -30,10 +30,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_rational
-
 from .digits import _Bracket, as_positive_rational, check_bases, check_digit, iter_digit_tuples
 from .errors import ResourceLimitError
 
@@ -61,11 +57,15 @@ DEFAULT_TUPLE_CAP = 1 << 16
 SAMPLERS = ("integer-scan", "geometric", "low-discrepancy")
 
 
+# mpmath is imported at the first enclosure, not with the package: the
+# exact integer core and the CLI subcommands other than coverage never need it
 @lru_cache(maxsize=None)
-def _context(precision: int) -> MPIntervalContext:
+def _context(precision: int):
     """Interval context at the given precision (shared per precision)."""
     if precision < 16:
         raise ValueError(f"precision must be >= 16 bits, got {precision}")
+    from mpmath.ctx_iv import MPIntervalContext
+
     ctx = MPIntervalContext()
     ctx.prec = precision
     return ctx
@@ -73,12 +73,16 @@ def _context(precision: int) -> MPIntervalContext:
 
 def _endpoints(x, precision: int):
     """Exact mpf endpoints of an interval value."""
+    import mpmath
+
     with mpmath.mp.workprec(precision + 16):
         return mpmath.mpf(x.a), mpmath.mpf(x.b)
 
 
 def _fixed(x, precision: int) -> tuple[int, int]:
     """Outward-rounded integer bounds (floor, ceil) of 2**precision * x."""
+    from mpmath.libmp import to_rational
+
     (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x, precision))
     return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
@@ -382,6 +386,8 @@ class CoverageReport:
         return max(self.deviations().values())
 
     def _measure_str(self, tup: tuple[int, ...], digits: int = 30) -> str:
+        import mpmath
+
         with mpmath.mp.workprec(self.precision + 16):
             lo, hi = _endpoints(self.measures[tup], self.precision)
             return mpmath.nstr((lo + hi) / 2, digits)

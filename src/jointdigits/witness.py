@@ -78,6 +78,8 @@ class WitnessQuery:
             )
         for j, b in zip(self.target, bs):
             check_digit(j, b)
+        if not isinstance(self.budget, int) or isinstance(self.budget, bool):
+            raise ValueError(f"budget must be an int, got {self.budget!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if not 0 <= self.anchor < len(bs):
@@ -208,19 +210,23 @@ def _scan_anchor(
     return None
 
 
-def find_witness(query: WitnessQuery) -> WitnessResult:
+def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> WitnessResult:
     """Find x with the requested joint digits, or certify why not / give up.
 
-    Stage 1 rejects targets excluded by any dependent pair of the bases
-    (provable, budget-independent).  Stage 2 runs the anchored scan from
-    query.anchor; stage 3 retries the remaining anchors.  Among anchors
-    tried, the first (anchor order, then k) hit wins, deterministically.
+    A budget above ``budget_cap`` is refused before any work, since x grows
+    by log2(b) bits per anchor step.  Stage 1 rejects targets excluded by
+    any dependent pair of the bases (provable, budget-independent).
+    Stage 2 runs the anchored scan from query.anchor; stage 3 retries the
+    remaining anchors.  Among anchors tried, the first (anchor order,
+    then k) hit wins, deterministically.
 
     >>> find_witness(WitnessQuery(bases=(3, 10), target=(2, 9))).x
     9565938
     >>> find_witness(WitnessQuery(bases=(4, 8), target=(2, 3))).outcome
     'not_attainable'
     """
+    if query.budget > budget_cap:
+        raise ResourceLimitError(f"budget {query.budget} exceeds cap {budget_cap}")
     bases, target = query.bases, query.target
     report = pairwise_report(bases)
     for i, j, dep in report.dependent_pairs:

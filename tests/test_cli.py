@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,22 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--bases", "3,10", "--target", "3,1")
         assert code == 1 and "digit" in err
 
+    def test_budget_above_default_cap_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "witness", "--bases", "3,10", "--target", "2,9", "--budget", "100000001"
+        )
+        assert (code, out) == (1, "") and err.startswith("error:") and "cap" in err
+        assert time.perf_counter() - start < 5
+
+    def test_budget_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("JOINTDIGITS_SCAN_CAP", "10")
+        argv = ("witness", "--bases", "3,10,7", "--target", "2,9,5", "--budget")
+        code, out, err = run(capsys, *argv, "11")
+        assert (code, out) == (1, "") and "cap 10" in err
+        code, out, _ = run(capsys, *argv, "10")
+        assert code == 0 and json.loads(out)["k_reached"] == 10
+
 
 class TestCoverage:
     def test_json(self, capsys):
@@ -339,18 +356,55 @@ class TestUsageAndDeterminism:
         assert out1 == out2
 
 
+def fresh_env() -> dict:
+    """Environment of a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(jointdigits.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(code: str) -> str:
+    """Run Python code in a fresh interpreter; return its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=fresh_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyMpmath:
+    def test_only_coverage_loads_mpmath(self):
+        out = run_fresh(
+            "import contextlib, io, sys\n"
+            "from jointdigits.cli import main\n"
+            "queries = [\n"
+            "    ['digit', '--base', '10', '--x', '1'],\n"
+            "    ['deps', '--bases', '4,8,10'],\n"
+            "    ['image', '--bases', '4,8'],\n"
+            "    ['table', '--bases', '4,8'],\n"
+            "    ['witness', '--bases', '3,10', '--target', '2,9'],\n"
+            "]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(q) for q in queries]\n"
+            "print(codes, 'mpmath' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['coverage', '--bases', '3,10', '--samples', '50'])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+        )
+        assert out == "[0, 0, 0, 0, 0] False\n0 True\n"
+
+
 class TestSignals:
     def test_closed_pipe_exits_quietly(self):
         # 400 kB of text: far more than a pipe holds, so the writer must
         # still be writing when the reader goes away
-        env = dict(os.environ)
-        src = str(Path(jointdigits.cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "jointdigits.cli", "table", "--bases", "8,4096"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=fresh_env(),
         )
         assert proc.stdout.readline().startswith(b"bases (8,4096)")
         proc.stdout.close()

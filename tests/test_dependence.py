@@ -1,5 +1,6 @@
 """Dependence-detection tests: canonical power forms and certificates."""
 
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -30,6 +31,23 @@ def brute_force_dependent(b1, b2, a_max=256, e_max=8):
         if e1 is not None and e2 is not None:
             return True
     return False
+
+
+def all_pairs_report(bases):
+    """Oracle: pair_dependence over all C(n,2) pairs, in (i, j) order."""
+    found = []
+    for i, j in combinations(range(len(bases)), 2):
+        dep = pair_dependence(bases[i], bases[j])
+        if dep is not None:
+            found.append((i, j, dep))
+    return DependenceReport(bases=tuple(bases), dependent_pairs=tuple(found))
+
+
+# powers of small roots make dependent pairs common among the drawn bases
+base_values = st.one_of(
+    st.integers(3, 10**6),
+    st.builds(pow, st.integers(2, 12), st.integers(1, 10)).filter(lambda b: b >= 3),
+)
 
 
 class TestIntegerNthRoot:
@@ -166,6 +184,10 @@ class TestPairwiseReport:
     def test_needs_two_bases(self):
         with pytest.raises(ValueError):
             pairwise_report((7,))
+
+    @given(bases=st.lists(base_values, min_size=2, max_size=12, unique=True))
+    def test_matches_all_pairs_oracle(self, bases):
+        assert pairwise_report(bases) == all_pairs_report(bases)
 
 
 class TestJsonRoundTrip:

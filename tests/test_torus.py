@@ -1,13 +1,18 @@
 """Torus-diagnostic tests: rectangles, measures, orbit sampling."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jointdigits
 from jointdigits import (
     CoverageReport,
     ResourceLimitError,
@@ -356,3 +361,43 @@ class TestOrbitSample:
         assert len(devs) == 18
         assert all(0 <= v <= 1 for v in devs.values())
         assert rep.max_deviation() == max(devs.values())
+
+
+# every torus entry point as the first call of a fresh interpreter: the
+# package imports no mpmath, so each enclosure site must load it itself
+FRESH_IMPORTS = """\
+import sys
+from fractions import Fraction
+from jointdigits import (CoverageReport, classify_parameter, frequency_vector,
+    measure_map, orbit_sample, rectangle_of, torus_digit_tuple, total_measure)
+from jointdigits.torus import _fixed
+"""
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "frequency_vector((3, 10)).max_radius()",
+        "_fixed(rectangle_of((4, 8), (1, 1)).measure(), 128)",
+        "[(t, _fixed(m, 64)) for t, m in measure_map((3, 5), precision=64).items()]",
+        "_fixed(total_measure((3, 5)), 128)",
+        "torus_digit_tuple(Fraction(56, 3), (4, 8))",
+        "classify_parameter(Fraction(7, 2), frequency_vector((3, 10)))",
+        "CoverageReport.from_json_dict(orbit_sample((3, 5), 40).to_json_dict())",
+        "orbit_sample((3, 5), 40, 'low-discrepancy', precision=24).to_csv_rows()",
+    ],
+)
+def test_entry_point_first_in_fresh_interpreter(expr):
+    namespace: dict = {}
+    exec(FRESH_IMPORTS, namespace)
+    expected = repr(eval(expr, namespace))
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         FRESH_IMPORTS + f"assert 'mpmath' not in sys.modules\nprint(repr({expr}))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"

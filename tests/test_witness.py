@@ -161,6 +161,20 @@ class TestWitnessQueryValidation:
         with pytest.raises(ValueError):
             WitnessQuery(bases=(3, 10), target=(1, 1), anchor=2)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "10", None])
+    def test_rejects_non_int_budget(self, budget):
+        with pytest.raises(ValueError, match="budget must be an int"):
+            WitnessQuery(bases=(3, 10), target=(1, 1), budget=budget)
+
+    def test_budget_cap_refuses_before_any_step(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("anchor scan started")
+
+        monkeypatch.setattr(jointdigits.witness, "_scan_anchor", no_steps)
+        query = WitnessQuery(bases=(3, 10), target=(2, 9), budget=11)
+        with pytest.raises(ResourceLimitError):
+            find_witness(query, budget_cap=10)
+
 
 class TestVerifyWitness:
     def test_true_cases(self):
