@@ -234,6 +234,15 @@ class DigitSet:
         return digit_set_ranges(self.base, self.exponent, self.digit)
 
 
+def _check_count(name: str, n) -> int:
+    """Validate a count: an int >= 1, and not a bool."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return n
+
+
 def _check_exponent(e: int) -> int:
     if not isinstance(e, int) or isinstance(e, bool):
         raise TypeError(f"exponent must be an int, got {type(e).__name__}")
@@ -313,29 +322,98 @@ def refine_digit(D: int, b: int, e: int) -> int:
     return leading_digit(D, b)
 
 
-def _exact(v):
-    return v.numerator if v.denominator == 1 else v
-
-
 class _Bracket:
-    """The power bracket lo = b**m <= x < hi = b**(m+1) of one base.
+    """The power bracket lo = b**m <= x < hi = b**(m+1) of one base, for ints x >= 1.
 
-    The one primitive behind every walk over many x: ``digit`` moves the
-    bracket a power at a time until it encloses x, so a step of bounded
-    ratio costs O(1) exact operations.  lo and hi are ints while m >= 0,
-    Fractions below.  floor_log is the independent from-scratch route.
+    ``digit`` moves the bracket up a power at a time until it encloses x, so
+    a nondecreasing walk such as digit_runs costs O(1) exact operations per
+    power of b it passes.  floor_log is the independent from-scratch route.
     """
 
     def __init__(self, b: int):
         self.b, self.lo, self.hi = b, 1, b
 
-    def digit(self, x) -> int:
-        """Leading digit x // lo of the positive rational x."""
+    def digit(self, x: int) -> int:
+        """Leading digit x // lo of the int x, no smaller than the last one."""
         while x >= self.hi:
-            self.lo, self.hi = self.hi, _exact(self.hi * self.b)
-        while x < self.lo:
-            self.lo, self.hi = _exact(Fraction(self.lo, self.b)), self.lo
+            self.lo, self.hi = self.hi, self.hi * self.b
         return x // self.lo
+
+
+# Bits of the fixed-point mantissa bounds of _MantissaCursor.  Each rounding
+# widens the bounds by under one unit on a mantissa of at least 2**96 / q
+# units, so even a walk of 10**8 steps keeps them far narrower than a digit;
+# wider bounds would only make the exact fallback run more often.
+_MANTISSA_BITS = 96
+
+
+class _MantissaCursor:
+    """Exact leading digits of x_n = x0 * (p/q)**n in several bases.
+
+    Per base it keeps integer bounds lo <= 2**P * x_n / b**m <= hi of the
+    mantissa of x_n (P = _MANTISSA_BITS, m unstored).  Advancing a base by d
+    steps multiplies both bounds by p**d and divides them by q**d, lo
+    rounded down and hi rounded up, then divides (or multiplies) both by b
+    while they show that the mantissa has left [1, b).  The digit is
+    lo >> P when hi >> P agrees with it, since then both bounds lie in one
+    unit interval [j, j + 1) inside [1, b).  Bounds that straddle a power
+    of b or a digit edge are rebuilt from the exact mantissa (_rebuild),
+    the only exact arithmetic on the walk.  So a step costs O(1)
+    operations on integers of about P bits however large x_n has grown,
+    and every digit is exact: a fast approximate path with an exact
+    fallback (Ziv, ACM TOMS 17(3), 1991).
+
+    Bases advance independently and lazily, so a caller may stop reading
+    bases early; n must not decrease for any one base.
+    """
+
+    def __init__(self, bases: Iterable[int], x0, p: int, q: int = 1):
+        self.p, self.q = p, q
+        self.bits = _MANTISSA_BITS
+        self.bases = tuple(bases)
+        # per base: (n, x_n / b**m) at its last rebuild, and [n, lo, hi]
+        self.exact = [(0, Fraction(x0))] * len(self.bases)
+        self.state = [[0, *self._rebuild(i, 0)] for i in range(len(self.bases))]
+
+    def _rebuild(self, i: int, n: int) -> tuple[int, int]:
+        """Floor and ceiling of 2**P * x_n / b**m, m = floor_log(x_n, b).
+
+        The exact mantissa is carried on from the last rebuild of the base,
+        so a rebuild multiplies in only the steps since then.  On a walk
+        that stays on digit edges, such as 10**-n in base 10, the reduced
+        mantissa stays small and a rebuild at every step costs O(1).
+        """
+        b = self.bases[i]
+        n_exact, mantissa = self.exact[i]
+        mantissa = mantissa * self.p ** (n - n_exact) / self.q ** (n - n_exact)
+        m = floor_log(mantissa, b)
+        mantissa = mantissa / b**m if m >= 0 else mantissa * b**-m
+        self.exact[i] = n, mantissa
+        num, den = mantissa.numerator << self.bits, mantissa.denominator
+        return num // den, -(-num // den)
+
+    def digit(self, i: int, n: int) -> int:
+        """Leading digit of x_n in bases[i]."""
+        state, b, bits = self.state[i], self.bases[i], self.bits
+        lo, hi = state[1], state[2]
+        d = n - state[0]
+        if d:
+            step = self.p**d
+            lo, hi = lo * step, hi * step
+            if self.q != 1:
+                step = self.q**d
+                lo, hi = lo // step, -(-hi // step)
+            one, top = 1 << bits, b << bits
+            while lo >= top:
+                lo, hi = lo // b, -(-hi // b)
+            while hi < one:
+                lo, hi = lo * b, hi * b
+        j = lo >> bits
+        if j != hi >> bits:
+            lo, hi = self._rebuild(i, n)
+            j = lo >> bits
+        state[:] = n, lo, hi
+        return j
 
 
 def digit_runs(
@@ -352,8 +430,7 @@ def digit_runs(
     [(6, 7, (1, 6)), (7, 8, (1, 7)), (8, 10, (2, 1))]
     """
     bs = check_bases(bases)
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    _check_count("x_max", x_max)
     brackets = [_Bracket(b) for b in bs]
     start = 1
     while start <= x_max:

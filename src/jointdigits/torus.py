@@ -11,13 +11,17 @@ surjectivity of the digit map is established for independent bases.
 
 This module renders that picture empirically: rectangle geometry and
 measures at certified precision, plus orbit samplers with hit counts.
-Density is the proven statement; the frequency-vs-measure comparison here
-is a diagnostic only.  Enclosures of 1/ln b and log_b j are built once per
-base (mpmath) with outward-rounded integer bounds; points are classified
-on those integers, and one that cannot be certified on one side of a
-rectangle boundary is counted as boundary-ambiguous, never silently
-classified.  Sample points that are exact rationals are classified by the
-exact integer core instead, so those counts carry no rounding at all.
+Density (every rectangle eventually hit) is proven for two independent
+bases and conditional on Schanuel's conjecture for three or more pairwise
+independent ones; a dependent pair such as (4, 8) never hits the
+rectangles of its excluded digit pairs.  The frequency-vs-measure
+comparison here is a diagnostic only.  Enclosures of 1/ln b and log_b j
+are built once per base (mpmath) with outward-rounded integer bounds;
+points are classified on those integers, and one that cannot be certified
+on one side of a rectangle boundary is counted as boundary-ambiguous,
+never silently classified.  Sample points that are exact rationals are
+classified by the exact integer core instead, so those counts carry no
+rounding at all.
 """
 
 from __future__ import annotations
@@ -30,7 +34,14 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping
 
-from .digits import _Bracket, as_positive_rational, check_bases, check_digit, iter_digit_tuples
+from .digits import (
+    _MantissaCursor,
+    _check_count,
+    as_positive_rational,
+    check_bases,
+    check_digit,
+    iter_digit_tuples,
+)
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -479,9 +490,12 @@ def orbit_sample(
 
     Samplers:
       * ``integer-scan``  -- x = 1, 2, ..., N, classified exactly.
-      * ``geometric``     -- x = x0 * ratio**m, m = 0..N-1, exact rationals,
-                             classified exactly (an orbit walk with step
-                             ln(ratio)).
+      * ``geometric``     -- x = x0 * ratio**m, m = 0..N-1, exact rationals
+                             (an orbit walk with step ln(ratio)), classified
+                             exactly by a mantissa cursor: fixed-point
+                             bounds per base, rebuilt from the exact x only
+                             when they straddle a digit edge, so N samples
+                             cost O(N) small-integer steps.
       * ``low-discrepancy`` -- orbit parameters t = window * vdc2(m) (van
                              der Corput), classified by certified interval
                              arithmetic; uncertifiable points count as
@@ -492,9 +506,7 @@ def orbit_sample(
     (15, 21)
     """
     bs = check_bases(bases)
-    if n_samples < 1:
-        raise ValueError(f"need n_samples >= 1, got {n_samples}")
-    if n_samples > sample_cap:
+    if _check_count("n_samples", n_samples) > sample_cap:
         raise ResourceLimitError(f"n_samples {n_samples} exceeds cap {sample_cap}")
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
@@ -511,10 +523,10 @@ def orbit_sample(
     if sampler == "integer-scan":
         counts.update(iter_digit_tuples(bs, n_samples))
     elif sampler == "geometric":
-        brackets = [_Bracket(b) for b in bs]
-        for _ in range(n_samples):
-            counts[tuple([br.digit(x) for br in brackets])] += 1
-            x *= r
+        cursor = _MantissaCursor(bs, x, r.numerator, r.denominator)
+        indices = range(len(bs))
+        for m in range(n_samples):
+            counts[tuple([cursor.digit(i, m) for i in indices])] += 1
     else:
         fv = frequency_vector(bs, precision=precision)
         for m in range(n_samples):

@@ -23,7 +23,8 @@ from typing import Iterable
 
 from .dependence import pair_dependence, pairwise_report
 from .digits import (
-    _Bracket,
+    _MantissaCursor,
+    _check_count,
     as_positive_rational,
     check_bases,
     check_digit,
@@ -78,10 +79,7 @@ class WitnessQuery:
             )
         for j, b in zip(self.target, bs):
             check_digit(j, b)
-        if not isinstance(self.budget, int) or isinstance(self.budget, bool):
-            raise ValueError(f"budget must be an int, got {self.budget!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        _check_count("budget", self.budget)
         if not 0 <= self.anchor < len(bs):
             raise ValueError(f"anchor index out of range: {self.anchor}")
 
@@ -193,32 +191,33 @@ def _scan_anchor(
     """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget.
 
     Returns (x, k) for the first k whose candidate matches every
-    non-anchor digit.  One power bracket per other base follows x upward,
-    so the whole scan costs O(budget) big-integer multiplications and
-    divisions; each candidate stops at the first base whose digit misses.
+    non-anchor digit.  A mantissa cursor reads each other base's digit of
+    x_k from fixed-point bounds, so a step costs O(1) operations on small
+    integers however many bits x_k has; x_k itself is built only for the
+    hit.  Each candidate stops at the first base whose digit misses.
     """
-    ba = bases[anchor]
-    x = target[anchor]
-    others = [(_Bracket(bases[i]), target[i]) for i in range(len(bases)) if i != anchor]
+    others = [i for i in range(len(bases)) if i != anchor]
+    cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
+    wanted = list(enumerate(target[i] for i in others))
     for k in range(budget + 1):
-        for bracket, j in others:
-            if bracket.digit(x) != j:
+        for i, j in wanted:
+            if cursor.digit(i, k) != j:
                 break
         else:
-            return x, k
-        x *= ba
+            return target[anchor] * bases[anchor] ** k, k
     return None
 
 
 def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> WitnessResult:
     """Find x with the requested joint digits, or certify why not / give up.
 
-    A budget above ``budget_cap`` is refused before any work, since x grows
-    by log2(b) bits per anchor step.  Stage 1 rejects targets excluded by
-    any dependent pair of the bases (provable, budget-independent).
-    Stage 2 runs the anchored scan from query.anchor; stage 3 retries the
-    remaining anchors.  Among anchors tried, the first (anchor order,
-    then k) hit wins, deterministically.
+    A budget above ``budget_cap`` is refused before any work: the scan takes
+    up to budget + 1 steps per anchor, and the x it returns (like the exact
+    mantissa of a rare fallback) has up to budget * log2(b) bits.  Stage 1
+    rejects targets excluded by any dependent pair of the bases (provable,
+    budget-independent).  Stage 2 runs the anchored scan from
+    query.anchor; stage 3 retries the remaining anchors.  Among anchors
+    tried, the first (anchor order, then k) hit wins, deterministically.
 
     >>> find_witness(WitnessQuery(bases=(3, 10), target=(2, 9))).x
     9565938
@@ -287,6 +286,6 @@ def image_observed(
     >>> len(image_observed((4, 8), 63))
     15
     """
-    if x_max > cap:
+    if _check_count("x_max", x_max) > cap:
         raise ResourceLimitError(f"x_max {x_max} exceeds scan cap {cap}")
     return frozenset(digits for _, _, digits in digit_runs(bases, x_max))

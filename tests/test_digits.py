@@ -22,7 +22,7 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
-from jointdigits.digits import _Bracket
+from jointdigits.digits import _Bracket, _MantissaCursor
 
 
 def repeated_division_digit(x, b):
@@ -255,6 +255,11 @@ class TestDigitRuns:
             for x in range(start, stop):
                 assert leading_digit_tuple(x, bs) == digits
 
+    @pytest.mark.parametrize("x_max", [2.5, True, "10", Fraction(10)])
+    def test_rejects_non_int_x_max(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be an int"):
+            list(digit_runs((3, 10), x_max))
+
     def test_huge_x_max_costs_runs_not_integers(self):
         runs = list(digit_runs((3, 10, 7), 10**100))
         assert runs[-1][1] == 10**100 + 1
@@ -278,19 +283,20 @@ class TestBracket:
     )
     @settings(max_examples=150, deadline=None)
     def test_walk_matches_oracle_every_step(self, bs, x0, ratio, steps):
-        # ratio > 1 walks the brackets up, ratio < 1 walks them down
-        brackets = [_Bracket(b) for b in bs]
+        # ratio > 1 walks the mantissas up, ratio < 1 walks them down
+        cursor = _MantissaCursor(bs, x0, ratio.numerator, ratio.denominator)
         x = x0
-        for _ in range(steps):
-            assert tuple(br.digit(x) for br in brackets) == leading_digit_tuple(x, bs)
+        for n in range(steps):
+            assert tuple(cursor.digit(i, n) for i in range(len(bs))) == leading_digit_tuple(x, bs)
             x *= ratio
 
     def test_bounds_are_ints_at_or_above_one(self):
+        # digit_runs walks ints upward only, so the bracket never holds a Fraction
         br = _Bracket(10)
-        assert br.digit(Fraction(3, 1000)) == 3
-        assert (br.lo, br.hi) == (Fraction(1, 1000), Fraction(1, 100))
+        assert br.digit(1) == 1 and (br.lo, br.hi) == (1, 10)
         assert br.digit(42) == 4
         assert (type(br.lo), type(br.hi)) == (int, int) and (br.lo, br.hi) == (10, 100)
+        assert br.digit(10**30 - 1) == 9 and (br.lo, br.hi) == (10**29, 10**30)
 
 
 class TestParsing:

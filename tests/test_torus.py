@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import jointdigits
 from jointdigits import (
+    SAMPLERS,
     CoverageReport,
     ResourceLimitError,
     classify_parameter,
@@ -284,6 +285,13 @@ class TestOrbitSample:
             orbit_sample((50, 51), 10, "low-discrepancy", window=0, tuple_cap=100)
         with pytest.raises(ValueError, match="ratio"):
             orbit_sample((50, 51), 10, "geometric", ratio=Fraction(1), tuple_cap=100)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("n_samples", [2.5, True, "10", Fraction(10)])
+    def test_rejects_non_int_sample_counts(self, sampler, n_samples):
+        # before the measure map: (50, 51) would exceed tuple_cap
+        with pytest.raises(ValueError, match="n_samples must be an int"):
+            orbit_sample((50, 51), n_samples, sampler, tuple_cap=100)
 
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):

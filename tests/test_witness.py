@@ -212,6 +212,11 @@ class TestImageObserved:
         with pytest.raises(ResourceLimitError):
             image_observed((4, 8), 100, cap=99)
 
+    @pytest.mark.parametrize("x_max", [2.5, True, "10", None])
+    def test_rejects_non_int_x_max(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be an int"):
+            image_observed((3, 10), x_max)
+
 
 class TestWitnessResultJson:
     def test_found_round_trip(self):
