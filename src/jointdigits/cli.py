@@ -177,8 +177,7 @@ def _cmd_image(args) -> int:
         return 0
     att, exc = report.counts
     print(f"bases {bases[0]},{bases[1]}: {att} attainable, {exc} excluded")
-    for pair in sorted(report.excluded):
-        print(f"excluded: ({pair[0]},{pair[1]})")
+    print("".join(f"excluded: ({j1},{j2})\n" for j1, j2 in report.excluded_in_order()), end="")
     return 0
 
 

@@ -6,12 +6,14 @@ For dependent bases b1 = a**e1, b2 = a**e2 (gcd(e1,e2) = 1) a digit pair
     j1 / (j2 + 1)  <  a**c  <  (j1 + 1) / j2.
 
 a**c rises with c, so the criterion holds for some c iff it holds for the
-least c with a**c > j1/(j2+1), and that c is the smallest certificate.  The
-module finds it by a monotone walk down from a power known to lie above
-(integer cross-multiplications only, no logarithms), and independently
-tabulates the whole image through the combined base b = b1**e2 = b2**e1:
-the joint digit pair of x is a function of the single base-b leading digit
-of x.  The two routes must agree cell for cell; tests hold them to that.
+least c with a**c > j1/(j2+1), and that c is the smallest certificate.
+Along a row j1 that c falls as j2 rises and certifies a prefix of its j2
+range, so ``image_exact`` cuts each row into a few intervals by integer
+divisions: O(b1 * window), plus O(b1 * b2) for output listing every pair.
+The module independently tabulates the whole image through the combined
+base b = b1**e2 = b2**e1: the joint digit pair of x is a function of the
+single base-b leading digit of x.  The two routes must agree cell for
+cell; tests hold them to that.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .dependence import DependencePair, pair_dependence
 from .digits import (
@@ -101,29 +103,28 @@ class AttainabilityVerdict:
         )
 
 
-def _row_verdicts(
-    dep: DependencePair, j1: int, j2s: Iterable[int]
-) -> Iterator[AttainabilityVerdict]:
-    """Verdicts of (j1, j2) for ascending j2, each decided at its least power.
+def _row_intervals(dep: DependencePair, j1: int, end: int) -> tuple[tuple, ...]:
+    """Row j1 as intervals (j2_start, j2_stop, c or None) tiling j2 = 1..end-1.
 
-    j1/(j2+1) falls as j2 rises, so one walk serves the row: from the top of
-    the window, where a**c = P/Q is above every j1/(j2+1), c steps down while
-    a**(c-1) is still above, i.e. P*(j2+1) > a*j1*Q.
+    a**c = P/Q, the least power above j1/(j2+1), does not rise with j2 and
+    stays least while a**(c-1) <= j1/(j2+1), i.e. j2 < a*j1*Q // P.  Inside
+    one c the pair is attainable iff P*j2 < (j1+1)*Q, i.e. j2 <
+    ((j1+1)*Q - 1)//P + 1.  From the top of scan_window the walk passes each
+    c once: O(window) divisions, at most 2 * (window + 1) intervals.
     """
-    window = scan_window(dep)
-    a, c, P, Q = dep.a, window[1], dep.a ** window[1], 1
-    for j2 in j2s:
-        while P * (j2 + 1) > a * j1 * Q:
-            if c > 0:
-                P //= a
-            else:
-                Q *= a
-            c -= 1
-        holds = power_criterion_holds(a, c, j1, j2)
-        yield AttainabilityVerdict(
-            pair=(j1, j2), attainable=holds, certificate=c if holds else None,
-            scan_range=window,
-        )
+    a, j2 = dep.a, 1
+    c = scan_window(dep)[1]
+    P, Q, row = a**c, 1, []
+    while j2 < end:
+        stop = min(a * j1 * Q // P, end)  # c is not least at j2 if stop <= j2
+        cut = max(j2, min(((j1 + 1) * Q - 1) // P + 1, stop))
+        if cut > j2:
+            row.append((j2, cut, c))
+        if stop > cut:
+            row.append((cut, stop, None))
+        j2 = max(j2, stop)
+        P, Q, c = (P // a, Q, c - 1) if c > 0 else (P, Q * a, c - 1)
+    return tuple(row)
 
 
 def attainable_by_power_criterion(
@@ -132,7 +133,7 @@ def attainable_by_power_criterion(
     """Decide whether (j1, j2) is attainable for the dependent pair.
 
     The pair is attainable iff the least power a**c above j1/(j2+1) is also
-    below (j1+1)/j2; a walk down from the top of the window finds that c.
+    below (j1+1)/j2; the last interval of row j1 up to j2 carries that c.
 
     >>> dep = pair_dependence(4, 8)
     >>> attainable_by_power_criterion(dep, 2, 3).attainable
@@ -142,7 +143,10 @@ def attainable_by_power_criterion(
     """
     check_digit(j1, dep.base1)
     check_digit(j2, dep.base2)
-    return next(_row_verdicts(dep, j1, [j2]))
+    c = _row_intervals(dep, j1, j2 + 1)[-1][2]
+    return AttainabilityVerdict(
+        pair=(j1, j2), attainable=c is not None, certificate=c, scan_range=scan_window(dep)
+    )
 
 
 @dataclass(frozen=True)
@@ -185,13 +189,14 @@ class JointTable:
 
     def excluded(self) -> list[tuple[int, int]]:
         """The digit pairs outside the image, sorted."""
-        return sorted(p for p, runs in self.runs_by_pair().items() if not runs)
+        image, b1, b2 = self.image(), self.dep.base1, self.dep.base2
+        return [(j1, j2) for j1 in range(1, b1) for j2 in range(1, b2) if (j1, j2) not in image]
 
     def member_runs(self, j1: int, j2: int) -> list[tuple[int, int]]:
         """The maximal runs [start, stop) of digits mapping to (j1, j2)."""
         check_digit(j1, self.dep.base1)
         check_digit(j2, self.dep.base2)
-        return self.runs_by_pair()[(j1, j2)]
+        return [(start, stop) for start, stop, pair in self.runs if pair == (j1, j2)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,54 +267,82 @@ def image_via_table(
 
 @dataclass(frozen=True)
 class ImageReport:
-    """Classification of every digit pair of (base1, base2).
+    """Classification of every digit pair of (base1, base2), row by row.
 
-    ``dependence`` is None when the bases are independent; in that case
-    the joint digit map is surjective (density of the log orbit on the
-    torus), every verdict is attainable, and certificates are the string
-    "density" rather than an integer c.
+    ``rows[j1 - 1]`` tiles j2 = 1..base2-1 with intervals (j2_start,
+    j2_stop, c): c certifies every pair of the interval, or is None if they
+    are excluded.  ``dependence`` is None for independent bases, whose joint
+    digit map is surjective (density of the log orbit on the torus): each
+    row is then one interval certified by the string "density".
     """
 
     bases: tuple[int, int]
     dependence: DependencePair | None
-    verdicts: tuple[AttainabilityVerdict, ...]
+    rows: tuple[tuple[tuple[int, int, int | str | None], ...], ...]
+
+    def _intervals(self):
+        """(j1, j2_start, j2_stop, c) of every interval, j1-major, j2 ascending."""
+        return ((j1, *interval) for j1, row in enumerate(self.rows, 1) for interval in row)
+
+    @property
+    def verdicts(self) -> tuple[AttainabilityVerdict, ...]:
+        """One verdict per pair, j1-major.
+
+        Built from the rows at every read, which costs O(b1 * b2): read it
+        once and keep the tuple rather than indexing ``report.verdicts[i]``
+        in a loop.
+        """
+        window = scan_window(self.dependence) if self.dependence else None
+        return tuple(
+            AttainabilityVerdict((j1, j2), c is not None, c if window else None, window)
+            for j1, start, stop, c in self._intervals() for j2 in range(start, stop)
+        )
+
+    def _pairs(self, attainable: bool) -> Iterator[tuple[int, int]]:
+        """The pairs with that verdict, j1-major with j2 ascending, i.e. sorted."""
+        return ((j1, j2) for j1, start, stop, c in self._intervals()
+                if (c is not None) is attainable for j2 in range(start, stop))
+
+    def excluded_in_order(self) -> Iterator[tuple[int, int]]:
+        """The excluded pairs in sorted order, without building ``excluded``."""
+        return self._pairs(False)
 
     @property
     def attainable(self) -> frozenset[tuple[int, int]]:
-        return frozenset(v.pair for v in self.verdicts if v.attainable)
+        return frozenset(self._pairs(True))
 
     @property
     def excluded(self) -> frozenset[tuple[int, int]]:
-        return frozenset(v.pair for v in self.verdicts if not v.attainable)
+        return frozenset(self._pairs(False))
 
     @property
     def counts(self) -> tuple[int, int]:
-        att = sum(1 for v in self.verdicts if v.attainable)
-        return att, len(self.verdicts) - att
+        exc = sum(stop - start for _, start, stop, c in self._intervals() if c is None)
+        return (self.bases[0] - 1) * (self.bases[1] - 1) - exc, exc
 
     def certificate_for(self, j1: int, j2: int) -> int | None:
-        for v in self.verdicts:
-            if v.pair == (j1, j2):
-                return v.certificate
-        raise ValueError(f"no verdict for pair {(j1, j2)}")
+        if not (1 <= j1 < self.bases[0] and 1 <= j2 < self.bases[1]):
+            raise ValueError(f"no verdict for pair {(j1, j2)}")
+        row = self.rows[j1 - 1]
+        return row[bisect_right(row, j2, key=lambda iv: iv[0]) - 1][2] if self.dependence else None
 
     def to_json_dict(self) -> dict:
-        by_density = self.dependence is None
-        att, exc = self.counts
+        # j1-major, j2 ascending: excluded comes out sorted, sharing the pairs' lists
+        pairs, excluded = [], []
+        for j1, start, stop, c in self._intervals():
+            attainable = c is not None
+            for j2 in range(start, stop):
+                pair = [j1, j2]
+                pairs.append({"pair": pair, "attainable": attainable, "certificate_c": c})
+                if not attainable:
+                    excluded.append(pair)
         return {
             "bases": list(self.bases),
             "dependence": self.dependence.to_json_dict() if self.dependence else None,
-            "attainable_count": att,
-            "excluded_count": exc,
-            "pairs": [
-                {
-                    "pair": list(v.pair),
-                    "attainable": v.attainable,
-                    "certificate_c": "density" if by_density else v.certificate,
-                }
-                for v in self.verdicts
-            ],
-            "excluded": sorted(list(p) for p in self.excluded),
+            "attainable_count": len(pairs) - len(excluded),
+            "excluded_count": len(excluded),
+            "pairs": pairs,
+            "excluded": excluded,
         }
 
     @classmethod
@@ -338,8 +371,8 @@ def image_exact(
     IndependentBasesError unless allow_independent is set, in which case
     the report marks every pair attainable "by density" (no integer
     certificate exists or is needed).  Past DEFAULT_ENUMERATION_CAP pairs it
-    refuses before any verdict is built.  One least-power walk per j1 row
-    costs O(b1*b2 + b1*window) comparisons.
+    refuses before any row is built.  The rows cost O(b1 * window) integer
+    divisions whatever base2 is; only listing every pair is O(b1 * b2).
 
     >>> sorted(image_exact(4, 8).excluded)
     [(2, 3), (2, 6), (2, 7), (3, 2), (3, 4), (3, 5)]
@@ -355,13 +388,7 @@ def image_exact(
         )
     _check_pair_count(b1, b2)
     if dep is None:
-        verdicts = tuple(
-            AttainabilityVerdict(
-                pair=(j1, j2), attainable=True, certificate=None, scan_range=None
-            )
-            for j1 in range(1, b1)
-            for j2 in range(1, b2)
-        )
-        return ImageReport(bases=(b1, b2), dependence=None, verdicts=verdicts)
-    verdicts = tuple(v for j1 in range(1, b1) for v in _row_verdicts(dep, j1, range(1, b2)))
-    return ImageReport(bases=(b1, b2), dependence=dep, verdicts=verdicts)
+        rows = (((1, b2, "density"),),) * (b1 - 1)
+    else:
+        rows = tuple(_row_intervals(dep, j1, b2) for j1 in range(1, b1))
+    return ImageReport(bases=(b1, b2), dependence=dep, rows=rows)

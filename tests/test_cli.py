@@ -96,6 +96,20 @@ class TestTable:
         assert code == 0 and err == ""
         assert out == TABLE_4_8
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--bases", "9,729", "--output", "json"),
+             "15cbf64a4b98cd2afad85cfe750b44a2b7a37adf430be3070bdfe4e5b6f0c264"),
+            (("--bases", "512,8", "--output", "text"),
+             "9070dc71389e67d88cc23dac0719c01e8caae922a9fdc9be667d3834de60049d"),
+        ],
+    )
+    def test_golden(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "table", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "table", "--bases", "4,8", "--output", "json")
         assert code == 0
@@ -178,6 +192,20 @@ class TestImage:
              "789241087005f042fbc155b702aff2f1fd1bfbd22915065f6f036e9f8a397d9e"),
             (("--bases", "12,1728", "--output", "text"),
              "186e37e1d2813a5625d7b33f43e3f43ad683cecaaabad3ea1b8ead22aff87c0b"),
+            # one pair of each image class of the exact-image benchmark,
+            # taken from the per-pair verdicts before the row intervals
+            (("--bases", "243,81", "--output", "json"),
+             "20720d07950fa61eee1e0395b0d3180dc2ee15ef0dcce9dbfb5a6f2276e28f62"),
+            (("--bases", "1296,6", "--output", "json"),
+             "2901c5115c010e8bb1ac56de702d353566aacb78222ed7883be35a2facef7448"),
+            (("--bases", "36,216", "--output", "json"),
+             "a25e4dbeec652b11f3ff36eba3804f283f75d0c0007709d28003925b7759b090"),
+            (("--bases", "729,27", "--output", "text"),
+             "270e801df0700f74bd16f76dd0568a579540207003bdcbd3d33aa6fe9f83b31c"),
+            (("--bases", "512,32", "--output", "text"),
+             "0609c7e8d910018ef216970786c86a921f0514ecb1e0a8d757a20ffcd3da68df"),
+            (("--bases", "61,97", "--allow-trivial"),
+             "5c2a510ef802fafd46b1b59592c87c9522bbd9abe02568ca391af25c744af7bd"),
         ],
     )
     def test_golden(self, capsys, argv, digest):

@@ -95,6 +95,60 @@ SMALL_DEPENDENCES = [
 ]
 
 
+def _row_verdicts(dep, j1, j2s):
+    """Oracle: verdicts of (j1, j2) for ascending j2, one pair at a time.
+
+    j1/(j2+1) falls as j2 rises, so one walk serves the row: from the top of
+    the window, where a**c = P/Q is above every j1/(j2+1), c steps down while
+    a**(c-1) is still above, i.e. P*(j2+1) > a*j1*Q.
+    """
+    window = scan_window(dep)
+    a, c, P, Q = dep.a, window[1], dep.a ** window[1], 1
+    for j2 in j2s:
+        while P * (j2 + 1) > a * j1 * Q:
+            if c > 0:
+                P //= a
+            else:
+                Q *= a
+            c -= 1
+        holds = power_criterion_holds(a, c, j1, j2)
+        yield AttainabilityVerdict(
+            pair=(j1, j2), attainable=holds, certificate=c if holds else None,
+            scan_range=window,
+        )
+
+
+def report_oracle(b1, b2):
+    """Oracle: the image report as one verdict per pair, and its JSON form."""
+    dep = pair_dependence(b1, b2)
+    verdicts = tuple(v for j1 in range(1, b1) for v in _row_verdicts(dep, j1, range(1, b2)))
+    excluded = sorted(list(v.pair) for v in verdicts if not v.attainable)
+    payload = {
+        "bases": [b1, b2],
+        "dependence": dep.to_json_dict(),
+        "attainable_count": len(verdicts) - len(excluded),
+        "excluded_count": len(excluded),
+        "pairs": [
+            {"pair": list(v.pair), "attainable": v.attainable, "certificate_c": v.certificate}
+            for v in verdicts
+        ],
+        "excluded": excluded,
+    }
+    return verdicts, payload
+
+
+def dependent_bases(max_pairs):
+    """(b1, b2) = (a**e1, a**e2) with coprime e1 != e2, both >= 3, few pairs."""
+    return st.sampled_from([
+        (a**e1, a**e2)
+        for a in range(2, 41)
+        for e1 in range(1, 13)
+        for e2 in range(1, 13)
+        if e1 != e2 and gcd(e1, e2) == 1 and min(a**e1, a**e2) >= 3
+        and (a**e1 - 1) * (a**e2 - 1) <= max_pairs
+    ])
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("reached past the enumeration cap")
 
@@ -368,6 +422,60 @@ class TestImageExact:
             image_exact(3, 43046721)
         with pytest.raises(ResourceLimitError):
             image_exact(3, 10**8, allow_independent=True)
+
+    @given(bases=dependent_bases(max_pairs=6000))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_row_verdicts_oracle(self, bases):
+        b1, b2 = bases
+        report = image_exact(b1, b2)
+        verdicts, payload = report_oracle(b1, b2)
+        assert report.verdicts == verdicts
+        assert report.attainable == frozenset(v.pair for v in verdicts if v.attainable)
+        assert report.excluded == frozenset(v.pair for v in verdicts if not v.attainable)
+        assert list(report.excluded_in_order()) == sorted(report.excluded)
+        assert report.counts == (payload["attainable_count"], payload["excluded_count"])
+        for v in verdicts:
+            assert report.certificate_for(*v.pair) == v.certificate
+        assert report.to_json_dict() == payload
+
+    @given(bases=dependent_bases(max_pairs=10**6), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_single_pair_matches_row_verdicts_oracle(self, bases, data):
+        dep = pair_dependence(*bases)
+        j1 = data.draw(st.integers(1, dep.base1 - 1), label="j1")
+        j2 = data.draw(st.integers(1, dep.base2 - 1), label="j2")
+        expected = next(_row_verdicts(dep, j1, [j2]))
+        assert attainable_by_power_criterion(dep, j1, j2) == expected
+
+    @pytest.mark.parametrize(
+        "b1, b2", [*DEPENDENT_PAIRS, (8, 4), (81, 243), (12, 1728), (1728, 12), (729, 27),
+                   (512, 32), (1296, 6), (6, 1296), (36, 216), (256, 2048), (2048, 256)]
+    )
+    def test_rows_tile_in_few_intervals(self, b1, b2):
+        report = image_exact(b1, b2)
+        lo, hi = scan_window(report.dependence)
+        assert len(report.rows) == b1 - 1
+        for row in report.rows:
+            assert len(row) <= 2 * (hi - lo + 1)
+            assert row[0][0] == 1 and row[-1][1] == b2
+            for (_, stop, c), (start, _, c_next) in zip(row, row[1:]):
+                assert stop == start and not (c is None and c_next is None)
+            for start, stop, c in row:
+                assert start < stop and (c is None or lo < c < hi)
+
+    def test_rows_build_no_per_pair_object(self, monkeypatch):
+        monkeypatch.setattr("jointdigits.image.AttainabilityVerdict", _never_called)
+        report = image_exact(256, 2048)
+        assert len(report.rows) == 255 and sum(report.counts) == 255 * 2047
+        assert report.certificate_for(1, 1) == 0
+        trivial = image_exact(61, 97, allow_independent=True)
+        assert trivial.counts == (60 * 96, 0) and trivial.certificate_for(60, 96) is None
+
+    def test_certificate_for_rejects_pairs_off_the_grid(self):
+        report = image_exact(4, 8)
+        for pair in [(0, 1), (4, 1), (1, 0), (1, 8)]:
+            with pytest.raises(ValueError):
+                report.certificate_for(*pair)
 
     def test_verdict_round_trip(self):
         v = attainable_by_power_criterion(pair_dependence(4, 8), 3, 6)
