@@ -5,7 +5,8 @@ that j * b**k <= x < (j+1) * b**k for some integer k.  Everything here is
 computed with arbitrary-precision integer comparisons (cross-multiplied
 inequalities on numerator/denominator), never with floating-point
 logarithms, so results at interval boundaries are exact and identical on
-every platform.
+every platform.  Every digit computed from scratch goes through ``_split``:
+one descent through the repeated squares b**(2**i) gives k and x / b**k.
 
 Bases are restricted to integers >= 3.  Inputs are exact positive
 rationals: Python ints or ``fractions.Fraction`` values (floats are
@@ -121,12 +122,35 @@ def parse_positive_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _split(p: int, q: int, b: int) -> tuple[int, int, int]:
+    """(k, n, d) with b**k <= p/q < b**(k+1) and n/d = (p/q) / b**k in [1, b), unreduced.
+
+    Walks down one table of repeated squares b**(2**i), multiplying in each
+    that still fits under r = floor(max(x, 1/x)): every power is built once,
+    in O(log |k|) multiplications.  x < 1 goes through 1/x: k = -m if 1/x is
+    exactly b**m, and -m - 1 otherwise.
+    """
+    r = p // q if p >= q else q // p  # b**m <= y iff b**m <= floor(y)
+    squares = [b]
+    while squares[-1] <= r:
+        squares.append(squares[-1] * squares[-1])
+    m, power = 0, 1
+    for i in reversed(range(len(squares) - 1)):
+        step = power * squares[i]
+        if step <= r:
+            m, power = m + (1 << i), step
+    if p >= q:
+        return m, p, q * power
+    n = p * power
+    return (-m, n, q) if n == q else (-m - 1, n * b, q)
+
+
 def floor_log(x, b: int) -> int:
     """Largest integer k with b**k <= x, for positive rational x.
 
-    Doubling then binary search on the exponent; every comparison is the
-    cross-multiplied integer form of b**k <= p/q.  Cost is logarithmic in
-    |k|, so inputs like 10**-300 or 7**1000 are fine.
+    A descent through the repeated squares b**(2**i) on the integer floor of
+    x or 1/x; every comparison is exact.  Cost is logarithmic in |k|, so
+    inputs like 10**-300 or 7**100000 are fine.
 
     >>> floor_log(56, 4)
     2
@@ -136,40 +160,14 @@ def floor_log(x, b: int) -> int:
     0
     """
     x = as_positive_rational(x)
-    check_base(b)
-    p, q = x.numerator, x.denominator
-    if p >= q:
-        # k >= 0: find hi with b**hi > x by repeated squaring
-        lo, hi, pw = 0, 1, b
-        while q * pw <= p:
-            lo, hi = hi, hi * 2
-            pw = pw * pw
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if q * b**mid <= p:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    # x < 1: k = -m with m the least positive integer with b**-m <= x
-    lo, hi, pw = 0, 1, b
-    while p * pw < q:
-        lo, hi = hi, hi * 2
-        pw = pw * pw
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if p * b**mid >= q:
-            hi = mid
-        else:
-            lo = mid
-    return -hi
+    return _split(x.numerator, x.denominator, check_base(b))[0]
 
 
 def leading_digit(x, b: int) -> int:
     """Leading digit of x in base b.
 
-    Returns the j with j * b**k <= x < (j+1) * b**k for some integer k.
-    The computation is floor(x / b**floor_log(x, b)) on exact integers.
+    Returns the j with j * b**k <= x < (j+1) * b**k for some integer k: the
+    floor of the mantissa x / b**floor_log(x, b), on exact integers.
 
     >>> leading_digit(56, 4)
     3
@@ -179,12 +177,8 @@ def leading_digit(x, b: int) -> int:
     1
     """
     x = as_positive_rational(x)
-    check_base(b)
-    k = floor_log(x, b)
-    p, q = x.numerator, x.denominator
-    if k >= 0:
-        return p // (q * b**k)
-    return (p * b**-k) // q
+    _, n, d = _split(x.numerator, x.denominator, check_base(b))
+    return n // d
 
 
 def leading_digit_tuple(x, bases: Iterable[int]) -> tuple[int, ...]:
@@ -199,7 +193,8 @@ def leading_digit_tuple(x, bases: Iterable[int]) -> tuple[int, ...]:
     """
     bs = check_bases(bases)
     x = as_positive_rational(x)
-    return tuple(leading_digit(x, b) for b in bs)
+    p, q = x.numerator, x.denominator
+    return tuple(n // d for _, n, d in (_split(p, q, b) for b in bs))
 
 
 @dataclass(frozen=True)
@@ -273,7 +268,8 @@ def digit_set_contains(value: int, b: int, e: int, j: int) -> bool:
     _check_exponent(e)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         return False
-    return floor_log(value, b) < e and leading_digit(value, b) == j
+    k, n, d = _split(value, 1, b)
+    return k < e and n // d == j
 
 
 def digit_set(b: int, e: int, j: int, cap: int = DEFAULT_ENUMERATION_CAP) -> DigitSet:
@@ -376,18 +372,18 @@ class _MantissaCursor:
         self.state = [[0, *self._rebuild(i, 0)] for i in range(len(self.bases))]
 
     def _rebuild(self, i: int, n: int) -> tuple[int, int]:
-        """Floor and ceiling of 2**P * x_n / b**m, m = floor_log(x_n, b).
+        """Floor and ceiling of 2**P * x_n / b**m, with b**m <= x_n < b**(m+1).
 
         The exact mantissa is carried on from the last rebuild of the base,
         so a rebuild multiplies in only the steps since then.  On a walk
         that stays on digit edges, such as 10**-n in base 10, the reduced
         mantissa stays small and a rebuild at every step costs O(1).
         """
-        b = self.bases[i]
         n_exact, mantissa = self.exact[i]
-        mantissa = mantissa * self.p ** (n - n_exact) / self.q ** (n - n_exact)
-        m = floor_log(mantissa, b)
-        mantissa = mantissa / b**m if m >= 0 else mantissa * b**-m
+        steps = n - n_exact
+        _, num, den = _split(mantissa.numerator * self.p**steps,
+                             mantissa.denominator * self.q**steps, self.bases[i])
+        mantissa = Fraction(num, den)
         self.exact[i] = n, mantissa
         num, den = mantissa.numerator << self.bits, mantissa.denominator
         return num // den, -(-num // den)

@@ -94,13 +94,35 @@ class AttainabilityVerdict:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AttainabilityVerdict":
+        """Parse a verdict, raising ValueError on any field of the wrong shape.
+
+        The pair is two ints >= 1; scan_range is None or two ints lo < hi; the
+        certificate is an int inside scan_range exactly when the pair is
+        attainable.  No scan_range means an attainable density verdict, which
+        carries no certificate.
+        """
+        pair, attainable, c = d["pair"], d["attainable"], d["certificate_c"]
         sr = d.get("scan_range")
-        return cls(
-            pair=tuple(d["pair"]),
-            attainable=d["attainable"],
-            certificate=d["certificate_c"],
-            scan_range=tuple(sr) if sr else None,
-        )
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(j) is int and j >= 1 for j in pair)):
+            raise ValueError(f"pair must be two ints >= 1, got {pair!r}")
+        if type(attainable) is not bool:
+            raise ValueError(f"attainable must be a bool, got {attainable!r}")
+        if sr is not None and not (isinstance(sr, (list, tuple)) and len(sr) == 2
+                                   and all(type(e) is int for e in sr) and sr[0] < sr[1]):
+            raise ValueError(f"scan_range must be None or two ints lo < hi, got {sr!r}")
+        if sr is None:
+            consistent = attainable and c is None
+        elif attainable:
+            consistent = type(c) is int and sr[0] <= c <= sr[1]
+        else:
+            consistent = c is None
+        if not consistent:
+            raise ValueError(
+                f"certificate {c!r} does not fit attainable={attainable} and scan_range {sr!r}"
+            )
+        return cls(pair=tuple(pair), attainable=attainable, certificate=c,
+                   scan_range=tuple(sr) if sr else None)
 
 
 def _row_intervals(dep: DependencePair, j1: int, end: int) -> tuple[tuple, ...]:

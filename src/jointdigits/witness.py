@@ -9,7 +9,9 @@ exact integer comparison.  For two independent bases the fractional parts
 of log_{b_j}(x_k) form an irrational rotation, so a hit is guaranteed and
 the budget bounds time only; for three or more pairwise-independent bases
 termination is conjectural (Schanuel), so running out of budget is an
-explicit, labeled outcome rather than a claim of non-attainability.
+explicit, labeled outcome rather than a claim of non-attainability.  With
+a dependent pair among the bases the note says only that the target
+passes every dependent pair's criterion: exhaustion is inconclusive.
 
 Targets whose projection to some multiplicatively dependent pair of the
 bases fails the power-interval criterion are rejected up front with that
@@ -21,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dependence import pair_dependence, pairwise_report
+from .dependence import DependenceReport, pair_dependence, pairwise_report
 from .digits import (
     _MantissaCursor,
     _check_count,
-    as_positive_rational,
     check_bases,
     check_digit,
     digit_runs,
@@ -161,7 +162,7 @@ class WitnessResult:
                 raise ValueError("certificate is not the recomputed verdict of its pair")
             return cls(**common, certificate=verdict, obstruction=(i, j))
         if d["outcome"] == EXHAUSTED:
-            k_reached, note = d["k_reached"], _exhaustion_note(len(q.bases))
+            k_reached, note = d["k_reached"], _exhaustion_note(pairwise_report(q.bases))
             if not (type(k_reached) is int and k_reached >= 1
                     and d["assumption_note"] == note):
                 raise ValueError("exhausted needs k_reached >= 1 and its standard note")
@@ -169,8 +170,21 @@ class WitnessResult:
         raise ValueError(f"unknown outcome {d['outcome']!r}")
 
 
-def _exhaustion_note(n_bases: int) -> str:
-    if n_bases == 2:
+def _exhaustion_note(report: DependenceReport) -> str:
+    """What an exhausted scan over the report's bases does and does not show."""
+    if report.dependent_pairs:
+        note = (
+            "budget exhausted; the target passes the power criterion of every "
+            "dependent pair of the bases, so exhaustion is inconclusive, not a "
+            "certificate of non-attainability"
+        )
+        if len(report.bases) == 2:
+            note += (
+                "; the anchored scan of a dependent pair is periodic, so retry "
+                "from the other anchor"
+            )
+        return note
+    if len(report.bases) == 2:
         return (
             "budget exhausted; for two multiplicatively independent bases a "
             "witness is guaranteed to exist (the joint digit map is surjective), "
@@ -261,7 +275,7 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
         bases=bases,
         target=target,
         k_reached=query.budget,
-        assumption_note=_exhaustion_note(len(bases)),
+        assumption_note=_exhaustion_note(report),
     )
 
 
@@ -271,7 +285,7 @@ def verify_witness(x, bases: Iterable[int], target: Iterable[int]) -> bool:
     tgt = tuple(target)
     if len(tgt) != len(bs):
         return False
-    return leading_digit_tuple(as_positive_rational(x), bs) == tgt
+    return leading_digit_tuple(x, bs) == tgt
 
 
 def image_observed(

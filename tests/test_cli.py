@@ -65,6 +65,37 @@ class TestDigit:
         code, _, err = run(capsys, "digit", "--base", "2", "--x", "7")
         assert code == 1 and "base" in err
 
+    # a 2000-digit p/q, and 7**1000 and its reciprocal, taken before the
+    # repeated-squares split replaced the doubling-and-bisection search
+    BIG = f"{13**1795}/{4 * 11**1919 + 1}"
+
+    @pytest.mark.parametrize(
+        "base, x, output, digest",
+        [
+            ("3", BIG, "text", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+            ("3", BIG, "json", "e364b323cd81e0f085cf17a9d8820d3d2f69a42a06dcdf7999f8e72609e64517"),
+            ("10", BIG, "text", "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+            ("10", BIG, "json", "2279fd696eac3b2c5b846e23d6a9756468340726ac6294add0344ef7636207a0"),
+            ("37", BIG, "text", "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2"),
+            ("37", BIG, "json", "3ce14fce42fc60214e144084482b417b371151678caf31c1035a35b5ecbd48ee"),
+            ("10", str(7**1000), "text",
+             "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+            ("10", str(7**1000), "json",
+             "76c75670b04800148054c23a3809740efeaeecf966c919a5869ef48399964f77"),
+            ("10", f"1/{7**1000}", "text",
+             "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58"),
+            ("10", f"1/{7**1000}", "json",
+             "635c2c55bcb8793a96169548461e3a1a572b3fab13c1d720e8a544099baea97e"),
+        ],
+        ids=[f"{b}-{x}-{o}" for b, x in [("3", "big"), ("10", "big"), ("37", "big"),
+                                          ("10", "7^1000"), ("10", "7^-1000")]
+             for o in ("text", "json")],
+    )
+    def test_golden(self, capsys, base, x, output, digest):
+        code, out, _ = run(capsys, "digit", "--base", base, "--x", x, "--output", output)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestDeps:
     def test_text(self, capsys):
@@ -88,6 +119,12 @@ class TestDeps:
     def test_duplicate_bases_rejected(self, capsys):
         code, _, err = run(capsys, "deps", "--bases", "4,4")
         assert code == 1 and "distinct" in err
+
+    def test_huge_base_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "deps", "--bases", f"3,{10**2500 + 1}")
+        assert (code, out) == (1, "") and err.startswith("error:") and "cap" in err
+        assert time.perf_counter() - start < 5
 
 
 class TestTable:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from jointdigits import (
     DependencePair,
     DependenceReport,
+    ResourceLimitError,
     integer_nth_root,
     pair_dependence,
     pairwise_report,
     primitive_root,
 )
+from jointdigits.dependence import MAX_BASE_BITS
 
 
 def brute_force_dependent(b1, b2, a_max=256, e_max=8):
@@ -106,6 +108,17 @@ class TestPrimitiveRoot:
             root = primitive_root(b).root
             if root >= 3:
                 assert primitive_root(root).exponent == 1
+
+    def test_refuses_bases_past_the_bit_cap(self):
+        pr = primitive_root(3 ** (MAX_BASE_BITS // 2))
+        assert (pr.root, pr.exponent) == (3, MAX_BASE_BITS // 2)
+        at_cap = (1 << (MAX_BASE_BITS - 1)) + 1
+        assert primitive_root(at_cap).value == at_cap
+        for b in (1 << MAX_BASE_BITS, 10**2500 + 1):
+            with pytest.raises(ResourceLimitError):
+                primitive_root(b)
+            with pytest.raises(ResourceLimitError):
+                pairwise_report((3, b))
 
 
 class TestPairDependence:

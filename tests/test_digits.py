@@ -22,7 +22,7 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
-from jointdigits.digits import _Bracket, _MantissaCursor
+from jointdigits.digits import _Bracket, _MantissaCursor, _split
 
 
 def repeated_division_digit(x, b):
@@ -102,6 +102,46 @@ class TestLeadingDigit:
     def test_floor_log_brackets(self, x, b):
         k = floor_log(x, b)
         assert Fraction(b) ** k <= x < Fraction(b) ** (k + 1)
+
+
+class TestSplit:
+    """_split against the repeated-division oracle and the Fraction bracket."""
+
+    @staticmethod
+    def check(p, q, b):
+        """(k, digit) from _split(p, q, b), after checking its bracket and mantissa."""
+        x = Fraction(p, q)
+        k, n, d = _split(p, q, b)
+        assert Fraction(b) ** k <= x < Fraction(b) ** (k + 1)
+        assert Fraction(n, d) == x / Fraction(b) ** k
+        return k, n // d
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=positive_rationals, b=bases, m=st.integers(-2000, 2000), c=st.integers(1, 10**6))
+    def test_matches_oracles(self, x, b, m, c):
+        # |k| up to about 2000, on unreduced p/q as well as reduced
+        x = x * Fraction(b) ** m
+        _, j = self.check(c * x.numerator, c * x.denominator, b)
+        assert j == repeated_division_digit(x, b)
+
+    def test_powers_and_digit_edges(self):
+        for b in (3, 10, 37):
+            for k in (0, 1, 2, 3, 7, 64, 1000):
+                for j in sorted({1, 2, b // 2, b - 1}):
+                    assert self.check(j * b**k, 1, b) == (k, j)
+                    assert self.check(j, b**k, b) == (-k, j)
+                    if j > 1:
+                        assert self.check(j * b**k - 1, 1, b) == (k, j - 1)
+                    elif k > 0:
+                        assert self.check(b**k - 1, 1, b) == (k - 1, b - 1)
+
+    def test_huge_and_tiny(self):
+        k, j = self.check(7**30000, 1, 10)
+        assert j * 10**k <= 7**30000 < (j + 1) * 10**k
+        k, j = self.check(1, 7**30000, 10)
+        assert j * 7**30000 <= 10**-k < (j + 1) * 7**30000
+        assert self.check(10**3000 + 1, 10**3000, 10) == (0, 1)
+        assert self.check(10**3000 - 1, 10**3000, 10) == (-1, 9)
 
 
 class TestLeadingDigitTuple:

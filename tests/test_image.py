@@ -480,3 +480,32 @@ class TestImageExact:
     def test_verdict_round_trip(self):
         v = attainable_by_power_criterion(pair_dependence(4, 8), 3, 6)
         assert AttainabilityVerdict.from_json_dict(v.to_json_dict()) == v
+
+    @pytest.mark.parametrize("b1, b2", [(4, 8), (27, 729), (61, 97)])
+    def test_every_verdict_round_trips(self, b1, b2):
+        verdicts = image_exact(b1, b2, allow_independent=True).verdicts
+        for v in verdicts:
+            assert AttainabilityVerdict.from_json_dict(v.to_json_dict()) == v
+
+    def test_verdict_rejects_malformed_payloads(self):
+        good = attainable_by_power_criterion(pair_dependence(4, 8), 3, 6).to_json_dict()
+        excluded = attainable_by_power_criterion(pair_dependence(4, 8), 2, 3).to_json_dict()
+        density = image_exact(61, 97, allow_independent=True).verdicts[0].to_json_dict()
+        lo, hi = good["scan_range"]
+        bad = [
+            {"pair": [1, 2, 3], "attainable": "yes", "certificate_c": None, "scan_range": [5]},
+            dict(good, pair=[0, 6]), dict(good, pair=[3]), dict(good, pair=[3, True]),
+            dict(good, pair="36"), dict(good, attainable=1), dict(good, attainable="yes"),
+            dict(good, scan_range=[5]), dict(good, scan_range=[hi, lo]),
+            dict(good, scan_range=[lo, lo]), dict(good, scan_range=[lo, 2.5]),
+            dict(good, certificate_c=None), dict(good, certificate_c=hi + 1),
+            dict(good, certificate_c=lo - 1), dict(good, certificate_c=True),
+            dict(good, certificate_c="1"),
+            dict(excluded, certificate_c=0), dict(excluded, attainable=True),
+            dict(excluded, scan_range=[hi, lo]), dict(excluded, scan_range=[lo, lo]),
+            dict(density, attainable=False), dict(density, certificate_c=0),
+            dict(good, scan_range=None),
+        ]
+        for payload in bad:
+            with pytest.raises(ValueError):
+                AttainabilityVerdict.from_json_dict(payload)

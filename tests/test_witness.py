@@ -20,8 +20,10 @@ from jointdigits import (
     image_observed,
     leading_digit,
     leading_digit_tuple,
+    pairwise_report,
     verify_witness,
 )
+from jointdigits.witness import _exhaustion_note
 
 
 class TestFindWitness:
@@ -96,6 +98,26 @@ class TestFindWitness:
         )
         assert r.outcome == "exhausted"
         assert "guaranteed" in r.assumption_note
+
+    def test_exhausted_dependent_pair_notes_periodic_scan(self):
+        # (1, 3) is attainable for (4, 8), but 4**k only meets base-8 digits
+        # 1, 2 and 4: no budget helps from anchor 0, while anchor 1 hits
+        q = WitnessQuery(bases=(4, 8), target=(1, 3), budget=50, anchor=0,
+                         retry_other_anchors=False)
+        r = find_witness(q)
+        assert r.outcome == "exhausted"
+        assert "guaranteed" not in r.assumption_note
+        assert "inconclusive" in r.assumption_note
+        assert "other anchor" in r.assumption_note
+        assert find_witness(WitnessQuery(bases=(4, 8), target=(1, 3), anchor=1)).x == 24
+
+    def test_exhausted_with_a_dependent_pair_among_three(self):
+        # (4, 8) are dependent, so the pairwise-independent Schanuel note is wrong
+        r = find_witness(WitnessQuery(bases=(4, 8, 3), target=(1, 1, 2), budget=1))
+        assert r.outcome == "exhausted"
+        assert "Schanuel" not in r.assumption_note
+        assert "dependent pair" in r.assumption_note
+        assert "other anchor" not in r.assumption_note
 
     def test_stage1_rejects_dependent_projection_for_n3(self):
         # (4, 8) sit inside the tuple; target projects to excluded (2, 3)
@@ -292,6 +314,19 @@ class TestWitnessResultJson:
         rebuilt = WitnessResult.from_json_dict(r.to_json_dict())
         assert rebuilt.outcome == "exhausted"
         assert rebuilt.k_reached == 1
+
+    @pytest.mark.parametrize("query", [
+        WitnessQuery((4, 8), (1, 3), budget=50, retry_other_anchors=False),
+        WitnessQuery((4, 8, 3), (1, 1, 2), budget=1),
+    ])
+    def test_exhausted_note_follows_the_bases(self, query):
+        payload = find_witness(query).to_json_dict()
+        rebuilt = WitnessResult.from_json_dict(payload)
+        assert rebuilt.assumption_note == payload["assumption_note"]
+        # the note of pairwise-independent bases is refused for these bases
+        independent_note = _exhaustion_note(pairwise_report((3, 10, 7)[:len(query.bases)]))
+        with pytest.raises(ValueError):
+            WitnessResult.from_json_dict(dict(payload, assumption_note=independent_note))
 
     def test_digit_tuple_recheck_on_big_witness(self):
         r = find_witness(WitnessQuery(bases=(3, 10), target=(2, 7)))
