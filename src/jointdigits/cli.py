@@ -33,8 +33,10 @@ from fractions import Fraction
 from . import __version__
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
+    _parse_terms,
+    _split,
+    check_base,
     check_bases,
-    leading_digit,
     parse_positive_rational,
 )
 from .dependence import pair_dependence, pairwise_report
@@ -134,8 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_digit(args) -> int:
-    x = parse_positive_rational(args.x)
-    d = leading_digit(x, args.base)
+    # the digit needs no gcd: split the unreduced p/q
+    _, n, den = _split(*_parse_terms(args.x), check_base(args.base))
+    d = n // den
     if args.output == "json":
         _emit_json({"base": args.base, "x": args.x.strip(), "digit": d})
     else:
@@ -173,11 +176,16 @@ def _cmd_image(args) -> int:
             "trivial all-attainable report"
         ) from None
     if args.output == "json":
-        _emit_json(report.to_json_dict())
+        print(report.to_json_text())
         return 0
     att, exc = report.counts
     print(f"bases {bases[0]},{bases[1]}: {att} attainable, {exc} excluded")
-    print("".join(f"excluded: ({j1},{j2})\n" for j1, j2 in report.excluded_in_order()), end="")
+    # one join per excluded interval of a row
+    j2s = list(map(str, range(bases[1])))
+    print("".join(
+        f"excluded: ({j1}," + f")\nexcluded: ({j1},".join(j2s[start:stop]) + ")\n"
+        for j1, row in enumerate(report.rows, 1) for start, stop, c in row if c is None
+    ), end="")
     return 0
 
 
@@ -202,7 +210,7 @@ def _cmd_table(args) -> int:
         )
     table = joint_table(dep, cap=_enum_cap())
     if args.output == "json":
-        _emit_json(table.to_json_dict())
+        print(table.to_json_text())
         return 0
     b1, b2 = dep.base1, dep.base2
     print(

@@ -110,6 +110,11 @@ def parse_positive_rational(text: str) -> Fraction:
     Decimal points and scientific notation are rejected deliberately: the
     accepted grammar guarantees the value is represented exactly.
     """
+    return Fraction(*_parse_terms(text))
+
+
+def _parse_terms(text: str) -> tuple[int, int]:
+    """The integer terms (p, q) of 'p' or 'p/q', both >= 1 and not reduced."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not an integer or p/q rational literal: {text!r}")
@@ -119,7 +124,7 @@ def parse_positive_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}")
     if num == 0:
         raise ValueError(f"expected a positive value: {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def _split(p: int, q: int, b: int) -> tuple[int, int, int]:

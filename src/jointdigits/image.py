@@ -9,7 +9,8 @@ a**c rises with c, so the criterion holds for some c iff it holds for the
 least c with a**c > j1/(j2+1), and that c is the smallest certificate.
 Along a row j1 that c falls as j2 rises and certifies a prefix of its j2
 range, so ``image_exact`` cuts each row into a few intervals by integer
-divisions: O(b1 * window), plus O(b1 * b2) for output listing every pair.
+divisions, O(b1 * window), and its JSON is written with one join per
+interval.
 The module independently tabulates the whole image through the combined
 base b = b1**e2 = b2**e1: the joint digit pair of x is a function of the
 single base-b leading digit of x.  The two routes must agree cell for
@@ -18,6 +19,7 @@ cell; tests hold them to that.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -171,6 +173,32 @@ def attainable_by_power_criterion(
     )
 
 
+def _joined(prefix: str, items: list[str], suffix: str) -> str:
+    """prefix + item + suffix for every item, joined by ", ", in one C-level join."""
+    return prefix + (suffix + ", " + prefix).join(items) + suffix
+
+
+def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
+    """Walk (major, minor) over 1..n_major-1 x 1..n_minor-1 in sorted order.
+
+    ``keys`` are the present pairs, sorted.  Yields (major, lo, hi, True)
+    for each present pair (hi = lo + 1) and (major, lo, hi, False) for each
+    maximal span of absent minors lo..hi-1 between them.
+    """
+    keys = iter(keys)
+    key = next(keys, None)
+    for major in range(1, n_major):
+        lo = 1
+        while key is not None and key[0] == major:
+            if key[1] > lo:
+                yield major, lo, key[1], False
+            yield major, key[1], key[1] + 1, True
+            lo = key[1] + 1
+            key = next(keys, None)
+        if lo < n_minor:
+            yield major, lo, n_minor, False
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Joint digit pair as a function of the combined-base leading digit.
@@ -220,17 +248,36 @@ class JointTable:
         check_digit(j2, self.dep.base2)
         return [(start, stop) for start, stop, pair in self.runs if pair == (j1, j2)]
 
+    def to_json_text(self) -> str:
+        """The table's JSON: ``bases``, ``combined_base``, ``dependence``, the
+        ``cells`` {j1, j2, runs} j2-major (runs [] if excluded) and the sorted
+        ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
+
+        Written straight from the runs: each cell with runs is one string,
+        each span of empty cells along a j2 row one join.
+        """
+        b1, b2 = self.dep.base1, self.dep.base2
+        runs_of: dict[tuple[int, int], list[str]] = {}
+        for start, stop, (j1, j2) in self.runs:
+            runs_of.setdefault((j2, j1), []).append(f"[{start}, {stop}]")
+        j1s, j2s = list(map(str, range(b1))), list(map(str, range(b2)))  # str(j) at index j
+        cells = []
+        for j2, lo, hi, hit in _spans(sorted(runs_of), b2, b1):
+            if hit:
+                cells.append(f'{{"j1": {lo}, "j2": {j2}, "runs": [{", ".join(runs_of[j2, lo])}]}}')
+            else:
+                cells.append(_joined('{"j1": ', j1s[lo:hi], f', "j2": {j2}, "runs": []}}'))
+        excluded = [_joined(f"[{j1}, ", j2s[lo:hi], "]")
+                    for j1, lo, hi, hit in _spans(sorted((j1, j2) for j2, j1 in runs_of), b1, b2)
+                    if not hit]
+        return (f'{{"bases": [{b1}, {b2}], "cells": [{", ".join(cells)}], '
+                f'"combined_base": {self.combined_base}, '
+                f'"dependence": {json.dumps(self.dep.to_json_dict(), sort_keys=True)}, '
+                f'"excluded": [{", ".join(excluded)}]}}')
+
     def to_json_dict(self) -> dict:
-        return {
-            "bases": [self.dep.base1, self.dep.base2],
-            "dependence": self.dep.to_json_dict(),
-            "combined_base": self.combined_base,
-            "cells": [
-                {"j1": j1, "j2": j2, "runs": [list(r) for r in runs]}
-                for (j1, j2), runs in self.runs_by_pair().items()
-            ],
-            "excluded": [list(p) for p in self.excluded()],
-        }
+        """The parsed form of ``to_json_text``."""
+        return json.loads(self.to_json_text())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JointTable":
@@ -348,24 +395,36 @@ class ImageReport:
         row = self.rows[j1 - 1]
         return row[bisect_right(row, j2, key=lambda iv: iv[0]) - 1][2] if self.dependence else None
 
-    def to_json_dict(self) -> dict:
-        # j1-major, j2 ascending: excluded comes out sorted, sharing the pairs' lists
-        pairs, excluded = [], []
+    def to_json_text(self) -> str:
+        """The report's JSON: ``bases``, ``dependence``, the two counts, one
+        {pair, attainable, certificate_c} per pair j1-major and the sorted
+        ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
+
+        Written straight from the rows: the pairs of one interval differ
+        only in j2, so each interval is one join, O(b1 * window) Python
+        steps plus the bytes.
+        """
+        b1, b2 = self.bases
+        j2s = list(map(str, range(b2)))  # str(j2) at index j2
+        lead = {c: f'{{"attainable": {json.dumps(c is not None)}, '
+                   f'"certificate_c": {json.dumps(c)}, "pair": ['
+                for c in {c for row in self.rows for _, _, c in row}}
+        pairs, excluded, n_excluded = [], [], 0
         for j1, start, stop, c in self._intervals():
-            attainable = c is not None
-            for j2 in range(start, stop):
-                pair = [j1, j2]
-                pairs.append({"pair": pair, "attainable": attainable, "certificate_c": c})
-                if not attainable:
-                    excluded.append(pair)
-        return {
-            "bases": list(self.bases),
-            "dependence": self.dependence.to_json_dict() if self.dependence else None,
-            "attainable_count": len(pairs) - len(excluded),
-            "excluded_count": len(excluded),
-            "pairs": pairs,
-            "excluded": excluded,
-        }
+            pairs.append(_joined(f"{lead[c]}{j1}, ", j2s[start:stop], "]}"))
+            if c is None:
+                excluded.append(_joined(f"[{j1}, ", j2s[start:stop], "]"))
+                n_excluded += stop - start
+        dependence = self.dependence.to_json_dict() if self.dependence else None
+        return (f'{{"attainable_count": {(b1 - 1) * (b2 - 1) - n_excluded}, '
+                f'"bases": [{b1}, {b2}], '
+                f'"dependence": {json.dumps(dependence, sort_keys=True)}, '
+                f'"excluded": [{", ".join(excluded)}], "excluded_count": {n_excluded}, '
+                f'"pairs": [{", ".join(pairs)}]}}')
+
+    def to_json_dict(self) -> dict:
+        """The parsed form of ``to_json_text``."""
+        return json.loads(self.to_json_text())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ImageReport":
@@ -394,7 +453,8 @@ def image_exact(
     the report marks every pair attainable "by density" (no integer
     certificate exists or is needed).  Past DEFAULT_ENUMERATION_CAP pairs it
     refuses before any row is built.  The rows cost O(b1 * window) integer
-    divisions whatever base2 is; only listing every pair is O(b1 * b2).
+    divisions whatever base2 is, and so does the Python work of writing
+    them out as JSON; only the bytes of that output grow as b1 * b2.
 
     >>> sorted(image_exact(4, 8).excluded)
     [(2, 3), (2, 6), (2, 7), (3, 2), (3, 4), (3, 5)]

@@ -1,14 +1,19 @@
 """CLI tests: subcommands, output formats, exit statuses, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import jointdigits.cli
 
@@ -18,6 +23,7 @@ from jointdigits import (
     ImageReport,
     JointTable,
     joint_table,
+    leading_digit,
     pair_dependence,
 )
 from jointdigits.cli import main
@@ -96,6 +102,15 @@ class TestDigit:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @given(p=st.integers(1, 10**40), q=st.integers(1, 10**40), g=st.integers(2, 10**30),
+           b=st.integers(3, 1000))
+    def test_unreduced_terms(self, p, q, g, b):
+        # p*g / q*g is split unreduced; its digit is that of the reduced p/q
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(["digit", "--base", str(b), "--x", f"{p * g}/{q * g}"]) == 0
+        assert buf.getvalue() == f"{leading_digit(Fraction(p, q), b)}\n"
+
 
 class TestDeps:
     def test_text(self, capsys):
@@ -140,6 +155,12 @@ class TestTable:
              "15cbf64a4b98cd2afad85cfe750b44a2b7a37adf430be3070bdfe4e5b6f0c264"),
             (("--bases", "512,8", "--output", "text"),
              "9070dc71389e67d88cc23dac0719c01e8caae922a9fdc9be667d3834de60049d"),
+            # taken from the per-cell dicts through json.dumps, before the
+            # JSON was written straight from the runs
+            (("--bases", "4,1024", "--output", "json"),
+             "af99b8ee9036a953a448f886505d6b240cdd5c3ec24e12c7f07dc1afe81fd81b"),
+            (("--bases", "16,64", "--output", "json"),
+             "45c89eac6e15a5fe9c777cf74ac9875abbbe0fdf22842668740945ad371b3de1"),
         ],
     )
     def test_golden(self, capsys, argv, digest):
@@ -243,6 +264,12 @@ class TestImage:
              "0609c7e8d910018ef216970786c86a921f0514ecb1e0a8d757a20ffcd3da68df"),
             (("--bases", "61,97", "--allow-trivial"),
              "5c2a510ef802fafd46b1b59592c87c9522bbd9abe02568ca391af25c744af7bd"),
+            # taken from the per-pair dicts through json.dumps, before the
+            # JSON and text were written straight from the row intervals
+            (("--bases", "6,1296"),
+             "3617c40d9d490c3bb02bebb67a5350f8820363f5d403ef44e9324d9b12cd08c8"),
+            (("--bases", "1728,12", "--output", "text"),
+             "9b5733e415027c24198574716d2d49c2a162b9f509fe82c693018cc68225d08e"),
         ],
     )
     def test_golden(self, capsys, argv, digest):
@@ -419,6 +446,28 @@ class TestUsageAndDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("digit", "--base", "10", "--x", "14/6", "--output", "json"),
+        ("deps", "--bases", "4,8,10", "--output", "json"),
+        ("image", "--bases", "4,8"),
+        ("image", "--bases", "27,9"),
+        ("image", "--bases", "3,10", "--allow-trivial"),
+        ("table", "--bases", "4,8", "--output", "json"),
+        ("table", "--bases", "27,9", "--output", "json"),
+        ("witness", "--bases", "3,10", "--target", "2,9"),
+        ("witness", "--bases", "4,8", "--target", "2,3"),
+        ("witness", "--bases", "3,10,7", "--target", "2,9,5", "--budget", "1"),
+        ("coverage", "--bases", "3,10", "--samples", "50"),
+    ],
+)
+def test_json_is_one_sorted_key_line(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 def fresh_env() -> dict:

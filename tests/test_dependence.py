@@ -83,7 +83,33 @@ class TestIntegerNthRoot:
         assert exact and got == r
 
 
+def all_orders_oracle(b):
+    """Oracle: (root, exponent) from k-th roots for every order k, largest first."""
+    for k in range(b.bit_length() - 1, 1, -1):
+        root, exact = integer_nth_root(b, k)
+        if exact:
+            return root, k
+    return b, 1
+
+
 class TestPrimitiveRoot:
+    @given(s=st.integers(2, 10**6), k=st.integers(1, 60), t=st.integers(0, 2**40))
+    def test_prime_orders_match_all_orders_oracle(self, s, k, t):
+        # s**k is a perfect power of order at least k; s**k + t mostly is not
+        for b in {s**k, s**k + t}:
+            if b >= 3 and b.bit_length() <= MAX_BASE_BITS:
+                pr = primitive_root(b)
+                assert (pr.root, pr.exponent) == all_orders_oracle(b)
+
+    def test_nested_and_mixed_orders_match_oracle(self):
+        # exponents with repeated and mixed prime factors, up to the bit cap
+        for root in (2, 3, 6, 10, 12, 2**3 * 3**2, 7**5 * 11**5 + 1):
+            for k in (1, 2, 4, 6, 8, 12, 30, 64, 210, 343, 1024):
+                b = root**k
+                if b >= 3 and b.bit_length() <= MAX_BASE_BITS:
+                    pr = primitive_root(b)
+                    assert (pr.root, pr.exponent) == all_orders_oracle(b), (root, k)
+
     def test_examples(self):
         assert primitive_root(8) == primitive_root(8).__class__(root=2, exponent=3)
         assert (primitive_root(8).root, primitive_root(8).exponent) == (2, 3)

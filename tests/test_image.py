@@ -1,12 +1,13 @@
 """Image tests: power-interval criterion vs combined-base table."""
 
 import copy
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointdigits import (
@@ -137,6 +138,39 @@ def report_oracle(b1, b2):
     return verdicts, payload
 
 
+def image_json_oracle(report):
+    """Oracle: the image report's JSON as one dict per pair, built from its rows."""
+    pairs, excluded = [], []
+    for j1, row in enumerate(report.rows, 1):
+        for start, stop, c in row:
+            for j2 in range(start, stop):
+                pairs.append({"pair": [j1, j2], "attainable": c is not None, "certificate_c": c})
+                if c is None:
+                    excluded.append([j1, j2])
+    return {
+        "bases": list(report.bases),
+        "dependence": report.dependence.to_json_dict() if report.dependence else None,
+        "attainable_count": len(pairs) - len(excluded),
+        "excluded_count": len(excluded),
+        "pairs": pairs,
+        "excluded": excluded,
+    }
+
+
+def table_json_oracle(table):
+    """Oracle: the joint table's JSON as one dict per cell, from runs_by_pair."""
+    return {
+        "bases": [table.dep.base1, table.dep.base2],
+        "dependence": table.dep.to_json_dict(),
+        "combined_base": table.combined_base,
+        "cells": [
+            {"j1": j1, "j2": j2, "runs": [list(r) for r in runs]}
+            for (j1, j2), runs in table.runs_by_pair().items()
+        ],
+        "excluded": [list(p) for p in table.excluded()],
+    }
+
+
 def dependent_bases(max_pairs):
     """(b1, b2) = (a**e1, a**e2) with coprime e1 != e2, both >= 3, few pairs."""
     return st.sampled_from([
@@ -154,6 +188,60 @@ def _never_called(*args, **kwargs):
 
 
 _image_exact = lru_cache(maxsize=None)(image_exact)
+
+
+def any_bases(max_pairs):
+    """Distinct (b1, b2), dependent or not, in either orientation, few pairs."""
+    return st.one_of(
+        dependent_bases(max_pairs),
+        st.tuples(st.integers(3, 120), st.integers(3, 120)).filter(
+            lambda b: b[0] != b[1] and (b[0] - 1) * (b[1] - 1) <= max_pairs),
+    )
+
+
+class TestJsonText:
+    """The hand-written emitters against json.dumps of the per-pair oracles."""
+
+    @given(bases=any_bases(max_pairs=6000))
+    # rows of (4, 8) and (8, 4) that end in excluded intervals; (3, 10) by density
+    @example(bases=(4, 8))
+    @example(bases=(8, 4))
+    @example(bases=(3, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_image_text_matches_oracle(self, bases):
+        report = image_exact(*bases, allow_independent=True)
+        oracle = image_json_oracle(report)
+        text = report.to_json_text()
+        assert text == json.dumps(oracle, sort_keys=True)
+        assert report.to_json_dict() == oracle
+        assert ImageReport.from_json_dict(report.to_json_dict()) == report
+        if report.dependence is None:
+            assert all(p["certificate_c"] == "density" for p in oracle["pairs"])
+
+    def test_examples_cover_excluded_row_ends(self):
+        assert image_exact(4, 8).rows[1][-1] == (6, 8, None)
+        assert image_exact(8, 4).rows[1][-1] == (3, 4, None)
+
+    @given(dep=st.sampled_from(SMALL_DEPENDENCES))
+    @example(dep=pair_dependence(4, 8))
+    @example(dep=pair_dependence(8, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_table_text_matches_oracle(self, dep):
+        table = joint_table(dep)
+        oracle = table_json_oracle(table)
+        assert table.to_json_text() == json.dumps(oracle, sort_keys=True)
+        assert table.to_json_dict() == oracle
+        assert JointTable.from_json_dict(table.to_json_dict()) == table
+
+    @pytest.mark.parametrize("b1, b2", [(81, 243), (243, 81), (1296, 6), (6, 1296), (61, 97)])
+    def test_benchmark_sized_images_match_oracle(self, b1, b2):
+        report = image_exact(b1, b2, allow_independent=True)
+        assert report.to_json_text() == json.dumps(image_json_oracle(report), sort_keys=True)
+
+    @pytest.mark.parametrize("b1, b2", [(16, 64), (64, 16), (4, 1024), (1024, 4), (9, 729)])
+    def test_benchmark_sized_tables_match_oracle(self, b1, b2):
+        table = joint_table(pair_dependence(b1, b2))
+        assert table.to_json_text() == json.dumps(table_json_oracle(table), sort_keys=True)
 
 
 class TestPowerCriterion:
