@@ -14,130 +14,15 @@ not (say 3 and 10) impose no joint constraint: every digit tuple occurs,
 and a witness search makes that concrete.
 """
 
-from .digits import (
-    DEFAULT_ENUMERATION_CAP,
-    MIN_BASE,
-    DigitSet,
-    as_positive_rational,
-    check_base,
-    check_bases,
-    check_digit,
-    digit_runs,
-    digit_set,
-    digit_set_contains,
-    digit_set_ranges,
-    floor_log,
-    iter_digit_tuples,
-    leading_digit,
-    leading_digit_tuple,
-    parse_positive_rational,
-    refine_digit,
-)
-from .dependence import (
-    DependencePair,
-    DependenceReport,
-    PrimitiveRoot,
-    integer_nth_root,
-    pair_dependence,
-    pairwise_report,
-    primitive_root,
-)
-from .errors import IndependentBasesError, ResourceLimitError
-from .image import (
-    AttainabilityVerdict,
-    ImageReport,
-    JointTable,
-    attainable_by_power_criterion,
-    image_exact,
-    image_via_table,
-    joint_table,
-    power_criterion_holds,
-    scan_window,
-)
-from .torus import (
-    DEFAULT_PRECISION,
-    SAMPLERS,
-    CoverageReport,
-    FrequencyVector,
-    Rectangle,
-    classify_parameter,
-    frequency_vector,
-    measure_map,
-    orbit_sample,
-    rectangle_of,
-    torus_digit_tuple,
-    total_measure,
-)
-from .witness import (
-    DEFAULT_BUDGET,
-    WitnessQuery,
-    WitnessResult,
-    find_witness,
-    image_observed,
-    verify_witness,
-)
+from . import dependence, digits, errors, image, torus, witness
+from .digits import *
+from .dependence import *
+from .errors import *
+from .image import *
+from .torus import *
+from .witness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # digits
-    "MIN_BASE",
-    "DEFAULT_ENUMERATION_CAP",
-    "DigitSet",
-    "as_positive_rational",
-    "check_base",
-    "check_bases",
-    "check_digit",
-    "digit_runs",
-    "digit_set",
-    "digit_set_contains",
-    "digit_set_ranges",
-    "floor_log",
-    "iter_digit_tuples",
-    "leading_digit",
-    "leading_digit_tuple",
-    "parse_positive_rational",
-    "refine_digit",
-    # dependence
-    "PrimitiveRoot",
-    "DependencePair",
-    "DependenceReport",
-    "integer_nth_root",
-    "primitive_root",
-    "pair_dependence",
-    "pairwise_report",
-    # errors
-    "ResourceLimitError",
-    "IndependentBasesError",
-    # image
-    "AttainabilityVerdict",
-    "ImageReport",
-    "JointTable",
-    "attainable_by_power_criterion",
-    "image_exact",
-    "image_via_table",
-    "joint_table",
-    "power_criterion_holds",
-    "scan_window",
-    # torus
-    "DEFAULT_PRECISION",
-    "SAMPLERS",
-    "CoverageReport",
-    "FrequencyVector",
-    "Rectangle",
-    "classify_parameter",
-    "frequency_vector",
-    "measure_map",
-    "orbit_sample",
-    "rectangle_of",
-    "torus_digit_tuple",
-    "total_measure",
-    # witness
-    "DEFAULT_BUDGET",
-    "WitnessQuery",
-    "WitnessResult",
-    "find_witness",
-    "image_observed",
-    "verify_witness",
-]
+__all__ = ["__version__", *digits.__all__, *dependence.__all__, *errors.__all__,
+           *image.__all__, *torus.__all__, *witness.__all__]

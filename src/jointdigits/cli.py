@@ -16,9 +16,8 @@ errors, 130 when interrupted.  Identical invocations produce
 byte-identical stdout.
 
 Resource caps default to the library defaults and can be overridden with
-the environment variables JOINTDIGITS_ENUM_CAP (digit-set and table
-enumeration) and JOINTDIGITS_SCAN_CAP (integer scans, sample counts and the
-witness budget).
+the environment variables JOINTDIGITS_ENUM_CAP (the combined base of table)
+and JOINTDIGITS_SCAN_CAP (the coverage sample count and the witness budget).
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
+    DEFAULT_SCAN_CAP,
     _parse_terms,
     _split,
     check_base,
@@ -43,7 +42,7 @@ from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
 from .image import image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
-from .witness import DEFAULT_BUDGET, DEFAULT_SCAN_CAP, WitnessQuery, find_witness
+from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
 __all__ = ["main", "build_parser"]
 
@@ -282,7 +281,7 @@ def _cmd_coverage(args) -> int:
         _parse_bases(args.bases),
         args.samples,
         sampler=args.sampler,
-        ratio=Fraction(parse_positive_rational(args.ratio)),
+        ratio=parse_positive_rational(args.ratio),
         window=args.window,
         precision=args.precision,
         sample_cap=_scan_cap(),

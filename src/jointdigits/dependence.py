@@ -58,16 +58,13 @@ def integer_nth_root(y: int, n: int) -> tuple[int, bool]:
         return y, True
     # initial x >= y**(1/n): 2**ceil(bits/n)
     x = 1 << -(-y.bit_length() // n)
+    # from above, Newton never drops below the floor root (AM-GM) and falls
+    # strictly until it reaches it
     while True:
         t = ((n - 1) * x + y // x ** (n - 1)) // n
         if t >= x:
             break
         x = t
-    # Newton lands on floor(y**(1/n)) from above; nudge defensively
-    while x**n > y:
-        x -= 1
-    while (x + 1) ** n <= y:
-        x += 1
     return x, x**n == y
 
 
@@ -147,6 +144,8 @@ class DependencePair:
     e2: int
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.a, self.e1, self.e2)):
+            raise ValueError("a, e1 and e2 must be ints")
         if self.a < 2:
             raise ValueError(f"common root must be >= 2, got {self.a}")
         if self.e1 < 1 or self.e2 < 1:
@@ -172,7 +171,18 @@ class DependencePair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DependencePair":
-        return cls(a=d["a"], e1=d["e1"], e2=d["e2"])
+        """Parse a certificate, raising ValueError on any field of the wrong shape.
+
+        All four fields are ints, not bools.  a**(e1*e2) has at least
+        e1*e2*(bit_length(a) - 1) + 1 bits, so combined_base is compared with
+        it only once that bound is below its own bit length: the power built
+        then has fewer than twice the bits of the payload's number.
+        """
+        dep, b = cls(a=d["a"], e1=d["e1"], e2=d["e2"]), d["combined_base"]
+        if (type(b) is not int or dep.e1 * dep.e2 * (dep.a.bit_length() - 1) >= b.bit_length()
+                or dep.combined_base != b):
+            raise ValueError("combined_base is not a**(e1*e2)")
+        return dep
 
 
 def pair_dependence(b1: int, b2: int) -> DependencePair | None:
@@ -186,10 +196,7 @@ def pair_dependence(b1: int, b2: int) -> DependencePair | None:
     >>> pair_dependence(3, 10) is None
     True
     """
-    check_base(b1)
-    check_base(b2)
-    if b1 == b2:
-        raise ValueError(f"bases must be distinct, got {b1} twice")
+    check_bases((b1, b2))
     r1 = primitive_root(b1)
     r2 = primitive_root(b2)
     if r1.root != r2.root:

@@ -33,12 +33,16 @@ MIN_BASE = 3
 
 # digit_set materializes {1,...,b**e - 1}; refuse universes past this size
 DEFAULT_ENUMERATION_CAP = 1 << 24
+# longest integer scan, sample count or witness budget; the CLI reads
+# JOINTDIGITS_SCAN_CAP in its place
+DEFAULT_SCAN_CAP = 10**8
 
 _RATIONAL_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
 
 __all__ = [
     "MIN_BASE",
     "DEFAULT_ENUMERATION_CAP",
+    "DEFAULT_SCAN_CAP",
     "check_base",
     "check_bases",
     "check_digit",

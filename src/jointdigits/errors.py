@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["ResourceLimitError", "IndependentBasesError"]
+
 
 class ResourceLimitError(Exception):
     """An operation would enumerate or scan past its configured cap.

@@ -286,8 +286,11 @@ class JointTable:
         Sizes are checked first, the combined base against the cap before it
         is computed, so allocation stays bounded by the payload's length.
         """
-        dep = DependencePair.from_json_dict(d["dependence"])
-        b = _combined_base(dep, DEFAULT_ENUMERATION_CAP)
+        fields = d["dependence"]
+        # the cap refuses a huge power before the certificate's own check builds it
+        b = _combined_base(DependencePair(fields["a"], fields["e1"], fields["e2"]),
+                           DEFAULT_ENUMERATION_CAP)
+        dep = DependencePair.from_json_dict(fields)
         if d["combined_base"] != b or len(d["cells"]) != (dep.base1 - 1) * (dep.base2 - 1):
             raise ValueError("payload sizes do not match its dependence pair")
         table = joint_table(dep)
@@ -371,10 +374,6 @@ class ImageReport:
         """The pairs with that verdict, j1-major with j2 ascending, i.e. sorted."""
         return ((j1, j2) for j1, start, stop, c in self._intervals()
                 if (c is not None) is attainable for j2 in range(start, stop))
-
-    def excluded_in_order(self) -> Iterator[tuple[int, int]]:
-        """The excluded pairs in sorted order, without building ``excluded``."""
-        return self._pairs(False)
 
     @property
     def attainable(self) -> frozenset[tuple[int, int]]:

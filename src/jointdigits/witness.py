@@ -25,6 +25,7 @@ from typing import Iterable
 
 from .dependence import DependenceReport, pair_dependence, pairwise_report
 from .digits import (
+    DEFAULT_SCAN_CAP,
     _MantissaCursor,
     _check_count,
     check_bases,
@@ -37,7 +38,6 @@ from .image import AttainabilityVerdict, attainable_by_power_criterion
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "DEFAULT_SCAN_CAP",
     "WitnessQuery",
     "WitnessResult",
     "find_witness",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 5000
-DEFAULT_SCAN_CAP = 10**8
 
 FOUND = "found"
 NOT_ATTAINABLE = "not_attainable"

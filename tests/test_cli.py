@@ -414,6 +414,14 @@ class TestCoverage:
         code, _, err = run(capsys, "coverage", "--bases", "3,10", "--samples", "100")
         assert code == 1 and "cap" in err
 
+    def test_precision_past_the_cap_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "coverage", "--bases", "3,10", "--samples", "10", "--precision", "1000000"
+        )
+        assert (code, out) == (1, "") and err.startswith("error:") and "cap" in err
+        assert time.perf_counter() - start < 5
+
 
 class TestUsageAndDeterminism:
     def test_unknown_flag_is_usage_error(self, capsys):

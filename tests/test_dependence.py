@@ -71,11 +71,17 @@ class TestIntegerNthRoot:
         with pytest.raises(ValueError):
             integer_nth_root(8, 0)
 
-    @given(y=st.integers(1, 10**24), n=st.integers(1, 40))
+    @given(y=st.integers(1, 2**2100), n=st.integers(1, 40))
     def test_floor_property(self, y, n):
         r, exact = integer_nth_root(y, n)
         assert r**n <= y < (r + 1) ** n
         assert exact == (r**n == y)
+
+    @given(r=st.integers(2, 2**40), n=st.integers(2, 64), d=st.sampled_from((-1, 0, 1)))
+    def test_near_powers(self, r, n, d):
+        # the sizes primitive_root meets: r**n - 1 must give r - 1, not r
+        got, exact = integer_nth_root(r**n + d, n)
+        assert (got, exact) == ((r - 1, False) if d < 0 else (r, d == 0))
 
     @given(r=st.integers(1, 10**6), n=st.integers(1, 12))
     def test_recovers_constructed_powers(self, r, n):
@@ -233,6 +239,12 @@ class TestJsonRoundTrip:
     def test_dependence_pair(self):
         dep = pair_dependence(9, 27)
         assert DependencePair.from_json_dict(dep.to_json_dict()) == dep
+
+    def test_dependence_pair_builds_no_power_past_its_payload(self):
+        # 2**(10**18 + 10**9) would never finish; the bit-length bound refuses it
+        payload = {"a": 2, "e1": 10**9, "e2": 10**9 + 1, "combined_base": 64}
+        with pytest.raises(ValueError):
+            DependencePair.from_json_dict(payload)
 
     def test_report(self):
         report = pairwise_report((4, 8, 10, 16))

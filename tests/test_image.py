@@ -395,6 +395,18 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable.from_json_dict(tampered)
 
+    @pytest.mark.parametrize("change", [
+        {"a": 2.5}, {"a": "2"}, {"e1": 2.0}, {"e1": True}, {"e2": True},
+        {"combined_base": 65}, {"combined_base": 64.0}, {"combined_base": None},
+    ])
+    def test_json_rejects_malformed_dependence_fields(self, change):
+        payload = joint_table(pair_dependence(4, 8)).to_json_dict()
+        payload["dependence"] = dict(payload["dependence"], **change)
+        with pytest.raises(ValueError):
+            DependencePair.from_json_dict(payload["dependence"])
+        with pytest.raises(ValueError):
+            JointTable.from_json_dict(payload)
+
     def test_json_rejects_absurd_exponents_before_computing(self):
         payload = joint_table(pair_dependence(4, 8)).to_json_dict()
         # 2**(10**18) would never finish; the cap check must come first
@@ -520,7 +532,6 @@ class TestImageExact:
         assert report.verdicts == verdicts
         assert report.attainable == frozenset(v.pair for v in verdicts if v.attainable)
         assert report.excluded == frozenset(v.pair for v in verdicts if not v.attainable)
-        assert list(report.excluded_in_order()) == sorted(report.excluded)
         assert report.counts == (payload["attainable_count"], payload["excluded_count"])
         for v in verdicts:
             assert report.certificate_for(*v.pair) == v.certificate

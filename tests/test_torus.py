@@ -27,7 +27,7 @@ from jointdigits import (
     torus_digit_tuple,
     total_measure,
 )
-from jointdigits.torus import _context, _endpoints
+from jointdigits.torus import MAX_PRECISION, _context, _endpoints
 
 
 def rational_iv(x: Fraction, ctx):
@@ -356,6 +356,21 @@ class TestOrbitSample:
         # the codomain size is checked against the cap before expansion
         with pytest.raises(ResourceLimitError):
             CoverageReport.from_json_dict(tampered(bases=[1009, 1013, 1019]))
+
+    def test_precision_cap_refuses_before_any_log_table(self, monkeypatch):
+        payload = orbit_sample((3, 10), 10, precision=MAX_PRECISION).to_json_dict()
+        assert CoverageReport.from_json_dict(payload).to_json_dict() == payload
+
+        def no_table(*args):
+            raise AssertionError("a log table was built")
+
+        monkeypatch.setattr("jointdigits.torus._log_table", no_table)
+        for precision in (MAX_PRECISION + 1, 10**6):
+            with pytest.raises(ResourceLimitError):
+                CoverageReport.from_json_dict(dict(payload, precision=precision))
+            for sampler in SAMPLERS:
+                with pytest.raises(ResourceLimitError):
+                    orbit_sample((3, 10), 10, sampler, precision=precision)
 
     def test_json_round_trip_every_sampler(self):
         for sampler in ("geometric", "low-discrepancy"):
