@@ -1,4 +1,7 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the rule every JSON reader keeps."""
+
+import json
+from functools import wraps
 
 __all__ = ["ResourceLimitError", "IndependentBasesError"]
 
@@ -19,3 +22,27 @@ class IndependentBasesError(ValueError):
     image computation degenerates; callers must opt in to the trivial
     all-attainable report explicitly.
     """
+
+
+def _json_reader(rebuild):
+    """Make ``rebuild(cls, d)`` a strict ``from_json_dict`` classmethod.
+
+    ``rebuild`` reads the payload's key fields, checks sizes against the caps
+    and rebuilds the object through its constructors, coercing passed-through
+    numbers with ``operator.index``.  d is accepted only if its sorted-key
+    ``json.dumps`` is exactly that of the object's ``to_json_dict()``, its
+    canonical text, so no float, bool, non-canonical string or extra key
+    gets through.  A missing key or a value of the wrong JSON type is a
+    ValueError; ResourceLimitError passes through.
+    """
+    @wraps(rebuild)
+    def from_json_dict(cls, d):
+        try:
+            obj = rebuild(cls, d)
+            if json.dumps(d, sort_keys=True) != json.dumps(obj.to_json_dict(), sort_keys=True):
+                raise ValueError(f"payload is not the canonical JSON of its {cls.__name__}")
+        except (KeyError, TypeError, IndexError) as e:
+            raise ValueError(f"malformed {cls.__name__} payload: {e!r}") from e
+        return obj
+
+    return classmethod(from_json_dict)

@@ -23,6 +23,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import index
 from typing import Iterator
 
 from .dependence import DependencePair, pair_dependence
@@ -32,7 +33,7 @@ from .digits import (
     check_digit,
     digit_runs,
 )
-from .errors import IndependentBasesError, ResourceLimitError
+from .errors import IndependentBasesError, ResourceLimitError, _json_reader
 
 __all__ = [
     "AttainabilityVerdict",
@@ -94,37 +95,33 @@ class AttainabilityVerdict:
             "scan_range": list(self.scan_range) if self.scan_range else None,
         }
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, d: dict) -> "AttainabilityVerdict":
-        """Parse a verdict, raising ValueError on any field of the wrong shape.
+        """Rebuild a verdict whose fields fit together.
 
         The pair is two ints >= 1; scan_range is None or two ints lo < hi; the
         certificate is an int inside scan_range exactly when the pair is
         attainable.  No scan_range means an attainable density verdict, which
         carries no certificate.
         """
-        pair, attainable, c = d["pair"], d["attainable"], d["certificate_c"]
-        sr = d.get("scan_range")
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(type(j) is int and j >= 1 for j in pair)):
+        pair, attainable = tuple(map(index, d["pair"])), bool(d["attainable"])
+        c = None if d["certificate_c"] is None else index(d["certificate_c"])
+        sr = None if d["scan_range"] is None else tuple(map(index, d["scan_range"]))
+        if not (len(pair) == 2 and min(pair) >= 1):
             raise ValueError(f"pair must be two ints >= 1, got {pair!r}")
-        if type(attainable) is not bool:
-            raise ValueError(f"attainable must be a bool, got {attainable!r}")
-        if sr is not None and not (isinstance(sr, (list, tuple)) and len(sr) == 2
-                                   and all(type(e) is int for e in sr) and sr[0] < sr[1]):
+        if sr is not None and not (len(sr) == 2 and sr[0] < sr[1]):
             raise ValueError(f"scan_range must be None or two ints lo < hi, got {sr!r}")
         if sr is None:
             consistent = attainable and c is None
         elif attainable:
-            consistent = type(c) is int and sr[0] <= c <= sr[1]
+            consistent = c is not None and sr[0] <= c <= sr[1]
         else:
             consistent = c is None
         if not consistent:
             raise ValueError(
                 f"certificate {c!r} does not fit attainable={attainable} and scan_range {sr!r}"
             )
-        return cls(pair=tuple(pair), attainable=attainable, certificate=c,
-                   scan_range=tuple(sr) if sr else None)
+        return cls(pair=pair, attainable=attainable, certificate=c, scan_range=sr)
 
 
 def _row_intervals(dep: DependencePair, j1: int, end: int) -> tuple[tuple, ...]:
@@ -279,24 +276,19 @@ class JointTable:
         """The parsed form of ``to_json_text``."""
         return json.loads(self.to_json_text())
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, d: dict) -> "JointTable":
-        """Rebuild a table from ``dependence``; d must equal its JSON exactly.
+        """Rebuild a table from ``dependence``.
 
         Sizes are checked first, the combined base against the cap before it
         is computed, so allocation stays bounded by the payload's length.
         """
         fields = d["dependence"]
-        # the cap refuses a huge power before the certificate's own check builds it
-        b = _combined_base(DependencePair(fields["a"], fields["e1"], fields["e2"]),
-                           DEFAULT_ENUMERATION_CAP)
-        dep = DependencePair.from_json_dict(fields)
-        if d["combined_base"] != b or len(d["cells"]) != (dep.base1 - 1) * (dep.base2 - 1):
+        dep = DependencePair(fields["a"], fields["e1"], fields["e2"])
+        _combined_base(dep, DEFAULT_ENUMERATION_CAP)
+        if len(d["cells"]) != (dep.base1 - 1) * (dep.base2 - 1):
             raise ValueError("payload sizes do not match its dependence pair")
-        table = joint_table(dep)
-        if d != table.to_json_dict():
-            raise ValueError("payload is not the joint table of its dependence pair")
-        return table
+        return joint_table(dep)
 
 
 def _combined_base(dep: DependencePair, cap: int) -> int:
@@ -425,15 +417,14 @@ class ImageReport:
         """The parsed form of ``to_json_text``."""
         return json.loads(self.to_json_text())
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, d: dict) -> "ImageReport":
-        """Rebuild the report of ``bases`` (pair count capped first); d must equal its JSON."""
+        """Rebuild the report of ``bases`` once its pair count passes the cap and ``pairs``."""
         b1, b2 = d["bases"]
         _check_pair_count(check_base(b1), check_base(b2))
-        report = image_exact(b1, b2, allow_independent=d["dependence"] is None)
-        if d != report.to_json_dict():
-            raise ValueError("payload is not the image report of its bases")
-        return report
+        if len(d["pairs"]) != (b1 - 1) * (b2 - 1):
+            raise ValueError("payload sizes do not match its bases")
+        return image_exact(b1, b2, allow_independent=d["dependence"] is None)
 
 
 def _check_pair_count(b1: int, b2: int) -> None:

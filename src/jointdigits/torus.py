@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 from .digits import (
@@ -43,7 +44,7 @@ from .digits import (
     check_digit,
     iter_digit_tuples,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _json_reader
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -72,13 +73,9 @@ DEFAULT_TUPLE_CAP = 1 << 16
 SAMPLERS = ("integer-scan", "geometric", "low-discrepancy")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_precision(precision) -> None:
     """Validate a working precision: an int of 16 to MAX_PRECISION bits."""
-    if not _is_int(precision) or precision < 16:
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 16:
         raise ValueError(f"precision must be an int >= 16 bits, got {precision!r}")
     if precision > MAX_PRECISION:
         raise ResourceLimitError(f"precision exceeds the {MAX_PRECISION}-bit cap")
@@ -436,31 +433,24 @@ class CoverageReport:
             "cells": cells,
         }
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, d: dict) -> "CoverageReport":
         """Rebuild a report; measures are recomputed from bases+precision.
 
-        Every field is checked before the measures are built, and the
-        codomain size against the tuple cap before it is expanded.
+        The precision and codomain size are checked against their caps, and
+        the number of cells against the codomain, before measures are built.
         """
-        bases = check_bases(d["bases"])
-        sampler, samples, precision = d["sampler"], d["samples"], d["precision"]
-        ambiguous, cells = d["boundary_ambiguous"], d["cells"]
+        bases, sampler, precision = check_bases(d["bases"]), d["sampler"], d["precision"]
         if sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
         _check_precision(precision)
-        if not (_is_int(samples) and _is_int(ambiguous) and 0 <= ambiguous <= samples):
-            raise ValueError("samples and boundary_ambiguous must be ints, 0 <= ambiguous <= samples")
-        if sampler != "low-discrepancy" and ambiguous != 0:
-            raise ValueError(f"exact sampler {sampler!r} has boundary-ambiguous samples")
         tuples = list(_codomain(bases, DEFAULT_TUPLE_CAP))
-        if len(cells) != len(tuples) or any(
-            list(c["tuple"]) != list(tup) for c, tup in zip(cells, tuples)
-        ):
-            raise ValueError("cells are not the sorted digit tuples of the bases")
-        counts = [c["count"] for c in cells]
-        if not all(_is_int(n) and n >= 0 for n in counts) or sum(counts) != samples - ambiguous:
-            raise ValueError("counts must be ints >= 0 summing to samples - boundary_ambiguous")
+        samples, ambiguous = _check_count("samples", d["samples"]), index(d["boundary_ambiguous"])
+        counts = [index(c["count"]) for c in d["cells"]]
+        if not 0 <= ambiguous <= (samples if sampler == "low-discrepancy" else 0):
+            raise ValueError(f"sampler {sampler!r} cannot have {ambiguous} ambiguous samples")
+        if len(counts) != len(tuples) or sum(counts) != samples - ambiguous:
+            raise ValueError("need one count per tuple, summing to samples - boundary_ambiguous")
         return cls(
             bases=bases,
             sampler=sampler,

@@ -21,6 +21,7 @@ certificate: those are provably not attainable at any budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable
 
 from .dependence import DependenceReport, pair_dependence, pairwise_report
@@ -33,7 +34,7 @@ from .digits import (
     digit_runs,
     leading_digit_tuple,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _json_reader
 from .image import AttainabilityVerdict, attainable_by_power_criterion
 
 __all__ = [
@@ -129,43 +130,37 @@ class WitnessResult:
             d.update(k_reached=self.k_reached, assumption_note=self.assumption_note)
         return d
 
-    @classmethod
+    @_json_reader
     def from_json_dict(cls, d: dict) -> "WitnessResult":
-        """Parse a payload, checking every field against its bases and target.
+        """Rebuild a result from its bases and target, checking it against them.
 
-        A found x must be target[anchor] * bases[anchor]**k and a witness, with
-        k bounded by the bit length of x before the power is taken; a
-        certificate must be the recomputed verdict of a dependent pair.
+        A found x must be target[anchor] * bases[anchor]**k and a witness, k
+        bounded by the bit length of x before the power is taken (``verified``
+        is recomputed, so it cannot vouch for x); an obstruction must be a
+        dependent pair whose recomputed verdict excludes the target.
         """
         q = WitnessQuery(bases=d["bases"], target=d["target"])
         common = dict(outcome=d["outcome"], bases=q.bases, target=q.target)
         if d["outcome"] == FOUND:
-            x, anchor, k = int(d["x"]), d["anchor"], d["k"]
-            if not (
-                type(anchor) is type(k) is int
-                and anchor in range(len(q.bases))
-                and k in range(x.bit_length())
-                and x == q.target[anchor] * q.bases[anchor] ** k
-                and verify_witness(x, q.bases, q.target)
-            ):
+            # str() first: int() of a JSON Infinity would raise OverflowError
+            x, anchor, k = int(str(d["x"])), index(d["anchor"]), index(d["k"])
+            if not (anchor in range(len(q.bases)) and k in range(x.bit_length())
+                    and x == q.target[anchor] * q.bases[anchor] ** k
+                    and verify_witness(x, q.bases, q.target)):
                 raise ValueError(f"x = {x} is not the anchored witness the payload claims")
             return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
-            i, j = d["obstruction"]
-            n = len(q.bases)
-            dep = pair_dependence(q.bases[i], q.bases[j]) if 0 <= i < j < n else None
+            i, j = map(index, d["obstruction"])
+            dep = pair_dependence(q.bases[i], q.bases[j]) if 0 <= i < j < len(q.bases) else None
             if dep is None:
                 raise ValueError(f"obstruction {(i, j)} is not a dependent pair of the bases")
             verdict = attainable_by_power_criterion(dep, q.target[i], q.target[j])
-            if verdict.attainable or d["certificate"] != verdict.to_json_dict():
-                raise ValueError("certificate is not the recomputed verdict of its pair")
+            if verdict.attainable:
+                raise ValueError("the recomputed verdict of the obstruction attains the target")
             return cls(**common, certificate=verdict, obstruction=(i, j))
         if d["outcome"] == EXHAUSTED:
-            k_reached, note = d["k_reached"], _exhaustion_note(pairwise_report(q.bases))
-            if not (type(k_reached) is int and k_reached >= 1
-                    and d["assumption_note"] == note):
-                raise ValueError("exhausted needs k_reached >= 1 and its standard note")
-            return cls(**common, k_reached=k_reached, assumption_note=note)
+            return cls(**common, k_reached=_check_count("k_reached", d["k_reached"]),
+                       assumption_note=_exhaustion_note(pairwise_report(q.bases)))
         raise ValueError(f"unknown outcome {d['outcome']!r}")
 
 

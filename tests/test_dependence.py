@@ -260,6 +260,12 @@ class TestJsonRoundTrip:
             {"i": 0, "j": 1, "certificate": {"a": 2, "e1": 3, "e2": 2, "combined_base": 64}}
         ]
         dropped = dict(payload, dependent_pairs=[], all_pairwise_independent=True)
-        for bad in (repeated, swapped, dropped):
+        zero = dict(payload, all_pairwise_independent=0)
+        no_bases = {k: v for k, v in payload.items() if k != "bases"}
+        for bad in (repeated, swapped, dropped, zero, no_bases):
             with pytest.raises(ValueError):
                 DependenceReport.from_json_dict(bad)
+        certificate = payload["dependent_pairs"][0]["certificate"]
+        for key in certificate:
+            with pytest.raises(ValueError):
+                DependencePair.from_json_dict({k: v for k, v in certificate.items() if k != key})

@@ -514,6 +514,11 @@ class TestImageExact:
         payload = {"bases": [3, 43046721], "dependence": None, "pairs": []}
         with pytest.raises(ResourceLimitError):
             ImageReport.from_json_dict(payload)
+        # under the cap, but 2.25M pairs: the payload's pairs give it away
+        for small in ({"bases": [1500, 1501], "dependence": None},
+                      {"bases": [1500, 1501], "dependence": None, "pairs": []}):
+            with pytest.raises(ValueError):
+                ImageReport.from_json_dict(small)
 
     def test_enumeration_cap_refuses_before_any_verdict(self, monkeypatch):
         # 2 * 43046720 and 2 * 99999999 pairs, both past DEFAULT_ENUMERATION_CAP

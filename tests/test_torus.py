@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -325,7 +326,12 @@ class TestOrbitSample:
         assert rebuilt.rectangles_total == rep.rectangles_total
 
     def test_json_rejects_tampered_payloads(self):
-        payload = orbit_sample((3, 10), 50).to_json_dict()
+        rep = orbit_sample((3, 10), 50)
+        payload = rep.to_json_dict()
+        # 51 counts for 50 samples and -1 ambiguous: the text is self-consistent
+        tup = next(iter(rep.hit_counts))
+        negative = replace(rep, boundary_ambiguous=-1,
+                           hit_counts={**rep.hit_counts, tup: rep.hit_counts[tup] + 1})
 
         def tampered(**changes):
             d = dict(payload, cells=[dict(c) for c in payload["cells"]])
@@ -349,6 +355,13 @@ class TestOrbitSample:
             tampered(bases=[3, 3]),
             tampered(cells=payload["cells"][1:]),
             tampered(cells=payload["cells"][::-1]),
+            tampered(cell0_measure="0.5"),
+            tampered(cell0_frequency=0.5),
+            tampered(rectangles_hit=payload["rectangles_hit"] + 1),
+            tampered(rectangles_hit=payload["rectangles_hit"] - 1),
+            tampered(extra=1),
+            tampered(bases=["3", 10]),
+            negative.to_json_dict(),
         ]
         for d in bad:
             with pytest.raises(ValueError):
@@ -365,6 +378,9 @@ class TestOrbitSample:
             raise AssertionError("a log table was built")
 
         monkeypatch.setattr("jointdigits.torus._log_table", no_table)
+        hit_cells = [c for c in payload["cells"] if c["count"]]  # counts still sum to samples
+        with pytest.raises(ValueError):
+            CoverageReport.from_json_dict(dict(payload, cells=hit_cells))
         for precision in (MAX_PRECISION + 1, 10**6):
             with pytest.raises(ResourceLimitError):
                 CoverageReport.from_json_dict(dict(payload, precision=precision))

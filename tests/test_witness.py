@@ -15,11 +15,13 @@ from jointdigits import (
     ResourceLimitError,
     WitnessQuery,
     WitnessResult,
+    attainable_by_power_criterion,
     find_witness,
     image_exact,
     image_observed,
     leading_digit,
     leading_digit_tuple,
+    pair_dependence,
     pairwise_report,
     verify_witness,
 )
@@ -269,7 +271,16 @@ class TestWitnessResultJson:
         huge_k = dict(payload, k=10**12)  # refused before 3**k is taken
         float_k = dict(payload, k=14.0)
         bool_anchor = dict(payload, anchor=False)
-        for bad in (five, off_orbit_digit, wrong_k, wrong_anchor, huge_k, float_k, bool_anchor):
+        # 9 * 10**7 is a witness from anchor 1, which index -1 must not stand for
+        negative_anchor = dict(payload, x=str(9 * 10**7), anchor=-1, k=7)
+        # x only as its canonical decimal string; verified is recomputed
+        other_x = [dict(payload, x=x) for x in (9565938, "09565938", "9_565_938", float("inf"))]
+        unverified = dict(payload, verified=False)
+        # a non-witness whose payload owns up to it is still refused
+        owned_up = dict(off_orbit_digit, verified=False)
+        assert WitnessResult.from_json_dict(dict(negative_anchor, anchor=1)).anchor_index == 1
+        for bad in (five, off_orbit_digit, wrong_k, wrong_anchor, huge_k, float_k, bool_anchor,
+                    negative_anchor, *other_x, unverified, owned_up):
             with pytest.raises(ValueError):
                 WitnessResult.from_json_dict(bad)
 
@@ -283,7 +294,13 @@ class TestWitnessResultJson:
                                                 certificate_c=7))
         wrong_window = dict(payload, certificate=dict(payload["certificate"], scan_range=[0, 1]))
         attainable = dict(payload, target=[2, 1, 1])
-        for bad in (independent, reversed_pair, out_of_range, forged, wrong_window, attainable):
+        # the attainable verdict of (2, 1) certifies nothing
+        attained = dict(attainable, certificate=attainable_by_power_criterion(
+            pair_dependence(4, 8), 2, 1).to_json_dict())
+        bool_pair = dict(payload, obstruction=[False, True])
+        bool_independent = dict(payload, obstruction=[True, 2])
+        for bad in (independent, reversed_pair, out_of_range, forged, wrong_window, attainable,
+                    attained, bool_pair, bool_independent):
             with pytest.raises(ValueError):
                 WitnessResult.from_json_dict(bad)
 
