@@ -172,12 +172,15 @@ class DependencePair:
 
     @_json_reader
     def from_json_dict(cls, d: dict) -> "DependencePair":
-        """Rebuild a certificate from a, e1 and e2.
+        """Rebuild a certificate from a, e1 and e2."""
+        return cls._bounded(d)
 
-        a**(e1*e2) has at least e1*e2*(bit_length(a) - 1) + 1 bits, so the
-        payload's combined_base is compared with it only once that bound is
-        below its own bit length: the power built then has fewer than twice
-        the bits of the payload's number.
+    @classmethod
+    def _bounded(cls, d: dict) -> "DependencePair":
+        """The certificate (a, e1, e2) of d, unless combined_base is too short.
+
+        a**(e1*e2) has over e1*e2*(bit_length(a) - 1) bits, so a power built
+        after this check has fewer than twice the bits of the payload's number.
         """
         dep = cls(a=d["a"], e1=d["e1"], e2=d["e2"])
         if dep.e1 * dep.e2 * (dep.a.bit_length() - 1) >= index(d["combined_base"]).bit_length():
@@ -240,8 +243,17 @@ class DependenceReport:
 
     @_json_reader
     def from_json_dict(cls, d: dict) -> "DependenceReport":
-        """Rebuild the report of ``bases``."""
-        return pairwise_report(d["bases"])
+        """Rebuild the report of ``bases``.
+
+        The listed (i, j, a, e1, e2) must be the rebuilt ones, in order, each
+        under DependencePair's bit bound, before any combined base is built.
+        """
+        report = pairwise_report(d["bases"])
+        listed = [(e["i"], e["j"], DependencePair._bounded(e["certificate"]))
+                  for e in d["dependent_pairs"]]
+        if listed != list(report.dependent_pairs):
+            raise ValueError("dependent_pairs are not those of the bases")
+        return report
 
 
 def pairwise_report(bases: Iterable[int]) -> DependenceReport:

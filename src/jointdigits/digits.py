@@ -327,24 +327,6 @@ def refine_digit(D: int, b: int, e: int) -> int:
     return leading_digit(D, b)
 
 
-class _Bracket:
-    """The power bracket lo = b**m <= x < hi = b**(m+1) of one base, for ints x >= 1.
-
-    ``digit`` moves the bracket up a power at a time until it encloses x, so
-    a nondecreasing walk such as digit_runs costs O(1) exact operations per
-    power of b it passes.  floor_log is the independent from-scratch route.
-    """
-
-    def __init__(self, b: int):
-        self.b, self.lo, self.hi = b, 1, b
-
-    def digit(self, x: int) -> int:
-        """Leading digit x // lo of the int x, no smaller than the last one."""
-        while x >= self.hi:
-            self.lo, self.hi = self.hi, self.hi * self.b
-        return x // self.lo
-
-
 # Bits of the fixed-point mantissa bounds of _MantissaCursor.  Each rounding
 # widens the bounds by under one unit on a mantissa of at least 2**96 / q
 # units, so even a walk of 10**8 steps keeps them far narrower than a digit;
@@ -426,23 +408,28 @@ def digit_runs(
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Maximal runs (start, stop, digits) of constant digit tuple over 1..x_max.
 
-    leading_digit_tuple(x, bases) == digits for start <= x < stop.  Base
-    b's digit j changes exactly at (j+1) * b**m, so a run stops at the
-    least such bound over the bases: O(sum of b_i * log x_max) runs,
-    however large x_max is.
+    leading_digit_tuple(x, bases) == digits for start <= x < stop.  An
+    odometer: base b's digit j over b**m changes at (j+1) * b**m, where it
+    steps to j+1, or from b-1 to 1 over b**(m+1); a run stops at the least
+    such bound.  A run costs O(n) multiplications and comparisons on n
+    bases and no division, and there are O(sum of b_i * log x_max) runs.
 
     >>> list(digit_runs((4, 8), 9))[-3:]
     [(6, 7, (1, 6)), (7, 8, (1, 7)), (8, 10, (2, 1))]
     """
     bs = check_bases(bases)
     _check_count("x_max", x_max)
-    brackets = [_Bracket(b) for b in bs]
-    start = 1
-    while start <= x_max:
-        digits = tuple([br.digit(start) for br in brackets])
-        stop = min((j + 1) * br.lo for j, br in zip(digits, brackets))
-        yield start, min(stop, x_max + 1), digits
-        start = stop
+    digits, powers, bounds = [1] * len(bs), [1] * len(bs), [2] * len(bs)
+    stop = 1
+    while stop <= x_max:
+        start, stop = stop, min(bounds)
+        yield start, min(stop, x_max + 1), tuple(digits)
+        for i, b in enumerate(bs):
+            if bounds[i] == stop:
+                digits[i] += 1
+                if digits[i] == b:
+                    digits[i], powers[i] = 1, powers[i] * b
+                bounds[i] = (digits[i] + 1) * powers[i]
 
 
 def iter_digit_tuples(bases: Iterable[int], x_max: int) -> Iterator[tuple[int, ...]]:

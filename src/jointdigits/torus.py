@@ -509,8 +509,8 @@ def orbit_sample(
         r = as_positive_rational(ratio)
         if r == 1:
             raise ValueError("geometric sampler needs ratio != 1")
-    if sampler == "low-discrepancy" and window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
+    if sampler == "low-discrepancy":
+        _check_count("window", window)
     measures = measure_map(bs, precision=precision, cap=tuple_cap)
     counts: Counter = Counter()
     ambiguous = 0

@@ -81,8 +81,8 @@ class WitnessQuery:
         for j, b in zip(self.target, bs):
             check_digit(j, b)
         _check_count("budget", self.budget)
-        if not 0 <= self.anchor < len(bs):
-            raise ValueError(f"anchor index out of range: {self.anchor}")
+        if type(self.anchor) is not int or not 0 <= self.anchor < len(bs):
+            raise ValueError(f"anchor must be an int in 0..{len(bs) - 1}, got {self.anchor!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""The mantissa cursor against the exact walks it replaced.
+"""The mantissa cursor and the digit odometer against the exact walks they replaced.
 
 The anchored witness scan and the geometric sampler used to carry the
 exact x from step to step and move a power bracket along with it.  Those
 walks are kept here as oracles: the cursor must give the same hit (x and
 k) and the same hit counts, at the default scale and at a scale so small
-that the exact fallback runs often.
+that the exact fallback runs often.  The run sweep moved the same bracket
+up to each run start; that sweep is kept as the oracle of the digit
+odometer in digit_runs.
 """
 
 import random
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jointdigits.digits
-from jointdigits import WitnessQuery, find_witness, orbit_sample
+from jointdigits import WitnessQuery, digit_runs, find_witness, orbit_sample
 from jointdigits.digits import _MantissaCursor
 from jointdigits.witness import _scan_anchor
 
@@ -57,6 +59,17 @@ def exact_scan_anchor(bases, target, anchor, budget):
             return x, k
         x *= ba
     return None
+
+
+def exact_bracket_runs(bases, x_max):
+    """Runs (start, stop, digits) over 1..x_max, a bracket per base moved up to each start."""
+    brackets = [ExactBracket(b) for b in bases]
+    start = 1
+    while start <= x_max:
+        digits = tuple([br.digit(start) for br in brackets])
+        stop = min((j + 1) * br.lo for j, br in zip(digits, brackets))
+        yield start, min(stop, x_max + 1), digits
+        start = stop
 
 
 def exact_geometric_counts(bases, n_samples, x0, ratio):
@@ -108,6 +121,21 @@ class TestWitnessScan:
                 assert hit == exact_scan_anchor(bases, target, anchor, 300)
                 found += hit is not None
         assert found > len(targets)
+
+
+class TestRunSweep:
+    @given(
+        bases=st.lists(
+            st.one_of(st.integers(3, 40), st.sampled_from([4, 8, 16, 9, 27])),
+            min_size=1, max_size=4, unique=True,
+        ),
+        x_max=st.one_of(st.integers(1, 10**4), st.integers(1, 10**40)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_bracket_sweep(self, bases, x_max):
+        runs = list(digit_runs(bases, x_max))
+        assert runs == list(exact_bracket_runs(bases, x_max))
+        assert all(type(start) is int and type(stop) is int for start, stop, _ in runs)
 
 
 class TestGeometricSampler:

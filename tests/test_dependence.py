@@ -1,5 +1,7 @@
 """Dependence-detection tests: canonical power forms and certificates."""
 
+import sys
+import time
 from itertools import combinations
 from math import gcd
 
@@ -250,6 +252,39 @@ class TestJsonRoundTrip:
         report = pairwise_report((4, 8, 10, 16))
         rebuilt = DependenceReport.from_json_dict(report.to_json_dict())
         assert rebuilt == report
+
+    def test_report_checks_entries_before_any_combined_base(self, monkeypatch):
+        # 200 powers of 2 give 19900 dependent pairs whose combined bases
+        # 2**(k1*k2/g) run to 40200 bits: building them all took about a second
+        bases = [2**k for k in range(2, 202)]
+        entries = [
+            {"i": i, "j": j, "certificate": {"a": dep.a, "e1": dep.e1, "e2": dep.e2,
+             "combined_base": 1 << (dep.a.bit_length() - 1) * dep.e1 * dep.e2}}
+            for i, j, dep in pairwise_report(bases).dependent_pairs
+        ]
+        entries[-1]["certificate"]["combined_base"] = 64
+        bare = {"bases": bases}
+        forged = dict(bare, dependent_pairs=entries, all_pairwise_independent=False)
+        valid = pairwise_report((4, 8, 10, 16, 9, 27)).to_json_dict()
+
+        def no_power(dep):
+            raise AssertionError("combined base built")
+
+        monkeypatch.setattr(DependencePair, "combined_base", property(no_power))
+        # json.dumps refuses ints past the int-string limit; lift it, so that
+        # only the entry checks can refuse the forged payload in time
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for bad in (bare, dict(bare, dependent_pairs=[]), forged):
+                start = time.perf_counter()
+                with pytest.raises(ValueError):
+                    DependenceReport.from_json_dict(bad)
+                assert time.perf_counter() - start < 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        monkeypatch.undo()
+        assert DependenceReport.from_json_dict(valid).to_json_dict() == valid
 
     def test_report_rejects_tampered_payloads(self):
         payload = pairwise_report((4, 8, 10)).to_json_dict()

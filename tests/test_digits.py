@@ -22,7 +22,7 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
-from jointdigits.digits import _Bracket, _MantissaCursor, _split
+from jointdigits.digits import _MantissaCursor, _split
 
 
 def repeated_division_digit(x, b):
@@ -305,8 +305,11 @@ class TestDigitRuns:
         assert runs[-1][1] == 10**100 + 1
         # one run per digit boundary (j+1) * b**m <= 10**100 of each base
         assert len(runs) <= 1 + sum((b - 1) * (floor_log(10**100, b) + 1) for b in (3, 10, 7))
-        for start, _, digits in runs[::50]:
+        # the first and the last x of every run, so every step of every base
+        # from digit b-1 back to 1 is checked
+        for start, stop, digits in runs:
             assert leading_digit_tuple(start, (3, 10, 7)) == digits
+            assert leading_digit_tuple(stop - 1, (3, 10, 7)) == digits
 
 
 rational_steps = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)).filter(
@@ -329,14 +332,6 @@ class TestBracket:
         for n in range(steps):
             assert tuple(cursor.digit(i, n) for i in range(len(bs))) == leading_digit_tuple(x, bs)
             x *= ratio
-
-    def test_bounds_are_ints_at_or_above_one(self):
-        # digit_runs walks ints upward only, so the bracket never holds a Fraction
-        br = _Bracket(10)
-        assert br.digit(1) == 1 and (br.lo, br.hi) == (1, 10)
-        assert br.digit(42) == 4
-        assert (type(br.lo), type(br.hi)) == (int, int) and (br.lo, br.hi) == (10, 100)
-        assert br.digit(10**30 - 1) == 9 and (br.lo, br.hi) == (10**29, 10**30)
 
 
 class TestParsing:

@@ -294,6 +294,12 @@ class TestOrbitSample:
         with pytest.raises(ValueError, match="n_samples must be an int"):
             orbit_sample((50, 51), n_samples, sampler, tuple_cap=100)
 
+    @pytest.mark.parametrize("window", [0.1, 2.5, True, Fraction(1, 2)])
+    def test_rejects_non_int_window(self, window):
+        # before the measure map: (50, 51) would exceed tuple_cap
+        with pytest.raises(ValueError, match="window must be an int"):
+            orbit_sample((50, 51), 10, "low-discrepancy", window=window, tuple_cap=100)
+
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             orbit_sample((3, 10), 10, sampler="sobol")

@@ -182,8 +182,10 @@ class TestWitnessQueryValidation:
     def test_rejects_bad_budget_and_anchor(self):
         with pytest.raises(ValueError):
             WitnessQuery(bases=(3, 10), target=(1, 1), budget=0)
-        with pytest.raises(ValueError):
-            WitnessQuery(bases=(3, 10), target=(1, 1), anchor=2)
+        # a bool, a float or a str is no index, though True and 1.0 are in range(2)
+        for anchor in (2, -1, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="anchor"):
+                WitnessQuery(bases=(3, 10), target=(1, 1), anchor=anchor)
 
     @pytest.mark.parametrize("budget", [2.5, True, "10", None])
     def test_rejects_non_int_budget(self, budget):
