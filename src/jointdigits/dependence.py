@@ -21,7 +21,7 @@ from operator import index
 from typing import Iterable
 
 from .digits import check_base, check_bases
-from .errors import ResourceLimitError, _json_reader
+from .errors import _check_cap, _json_reader
 
 __all__ = [
     "MAX_BASE_BITS",
@@ -57,6 +57,8 @@ def integer_nth_root(y: int, n: int) -> tuple[int, bool]:
         raise ValueError(f"argument must be >= 1, got {y}")
     if n == 1 or y == 1:
         return y, True
+    if n >= y.bit_length():  # 1 < y < 2**n: the floor root is 1
+        return 1, False
     # initial x >= y**(1/n): 2**ceil(bits/n)
     x = 1 << -(-y.bit_length() // n)
     # from above, Newton never drops below the floor root (AM-GM) and falls
@@ -116,10 +118,7 @@ def primitive_root(b: int) -> PrimitiveRoot:
     PrimitiveRoot(root=12, exponent=1)
     """
     check_base(b)
-    if b.bit_length() > MAX_BASE_BITS:
-        raise ResourceLimitError(
-            f"base of {b.bit_length()} bits exceeds the {MAX_BASE_BITS}-bit cap on root extraction"
-        )
+    _check_cap("bit length of a base", b.bit_length(), MAX_BASE_BITS)
     root, exponent = b, 1
     for p in _primes_below(b.bit_length()):
         if p >= root.bit_length():  # a p-th root >= 2 needs root >= 2**p
@@ -199,18 +198,8 @@ def pair_dependence(b1: int, b2: int) -> DependencePair | None:
     >>> pair_dependence(3, 10) is None
     True
     """
-    check_bases((b1, b2))
-    r1 = primitive_root(b1)
-    r2 = primitive_root(b2)
-    if r1.root != r2.root:
-        return None
-    return _common_power(r1, r2)
-
-
-def _common_power(r1: PrimitiveRoot, r2: PrimitiveRoot) -> DependencePair:
-    """Certificate of two distinct bases with the same canonical root."""
-    g = gcd(r1.exponent, r2.exponent)
-    return DependencePair(a=r1.root**g, e1=r1.exponent // g, e2=r2.exponent // g)
+    found = pairwise_report((b1, b2)).dependent_pairs
+    return found[0][2] if found else None
 
 
 @dataclass(frozen=True)
@@ -274,10 +263,11 @@ def pairwise_report(bases: Iterable[int]) -> DependenceReport:
     by_root = defaultdict(list)
     for i, r in enumerate(roots):
         by_root[r.root].append(i)
-    found = tuple(
-        (i, j, _common_power(roots[i], roots[j]))
-        for i, r in enumerate(roots)
-        for j in by_root[r.root]
-        if j > i
-    )
-    return DependenceReport(bases=bs, dependent_pairs=found)
+    found = []
+    for i, r in enumerate(roots):
+        for j in by_root[r.root]:
+            if j > i:
+                e1, e2 = r.exponent, roots[j].exponent
+                g = gcd(e1, e2)
+                found.append((i, j, DependencePair(a=r.root**g, e1=e1 // g, e2=e2 // g)))
+    return DependenceReport(bases=bs, dependent_pairs=tuple(found))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator
 
-from .errors import ResourceLimitError
+from .errors import _check_power
 
 MIN_BASE = 3
 
@@ -295,11 +295,7 @@ def digit_set(b: int, e: int, j: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Dig
     """
     check_digit(j, b)
     _check_exponent(e)
-    if b**e > cap:
-        raise ResourceLimitError(
-            f"digit_set universe {b}**{e} exceeds enumeration cap {cap}; "
-            "use digit_set_contains/digit_set_ranges instead"
-        )
+    _check_power("digit_set universe (else use digit_set_contains/digit_set_ranges)", b, e, cap)
     members = []
     for lo, hi in digit_set_ranges(b, e, j):
         members.extend(range(lo, hi))
@@ -310,8 +306,8 @@ def refine_digit(D: int, b: int, e: int) -> int:
     """The base-b digit j whose digit set contains the base-b**e digit D.
 
     Total on 1 <= D <= b**e - 1 because the digit sets partition that
-    range.  D < b**e is itself a base-b**e digit, so j is simply the
-    leading base-b digit of the integer D.
+    range.  Such a D has at most e base-b digits, and j is its leading
+    one: one split of D reads both, so b**e is never built.
 
     >>> refine_digit(25, 4, 3)
     1
@@ -322,9 +318,11 @@ def refine_digit(D: int, b: int, e: int) -> int:
     _check_exponent(e)
     if not isinstance(D, int) or isinstance(D, bool):
         raise TypeError(f"digit must be an int, got {type(D).__name__}")
-    if not 1 <= D <= b**e - 1:
-        raise ValueError(f"digit must be in 1..{b**e - 1} for base {b}**{e}, got {D}")
-    return leading_digit(D, b)
+    if D >= 1:
+        k, n, d = _split(D, 1, b)
+        if k < e:
+            return n // d
+    raise ValueError(f"digit must be in 1..{b}**{e} - 1, got {D}")
 
 
 # Bits of the fixed-point mantissa bounds of _MantissaCursor.  Each rounding

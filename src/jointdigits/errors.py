@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the rule every JSON reader keeps."""
+"""Exceptions shared across the package, the one rule every size cap keeps,
+and the rule every JSON reader keeps."""
 
 import json
 from functools import wraps
@@ -12,6 +13,28 @@ class ResourceLimitError(Exception):
     Raised instead of silently truncating; callers can retry with a larger
     cap or switch to a predicate/streaming form of the same operation.
     """
+
+
+def _check_cap(what: str, size: int, cap: int) -> int:
+    """size, or ResourceLimitError when it exceeds cap.
+
+    Every size that grows with a caller's input is checked here before
+    anything that large is built.
+    """
+    if size > cap:
+        raise ResourceLimitError(f"{what} {size} exceeds cap {cap}")
+    return size
+
+
+def _check_power(what: str, a: int, e: int, cap: int) -> int:
+    """a**e for a >= 1, refused past cap before a power far beyond it is built.
+
+    a**e >= 2**(e * (bit_length(a) - 1)) bounds its size from e alone, so
+    a power that is built has fewer than twice the bits of cap.
+    """
+    if e * (a.bit_length() - 1) >= cap.bit_length():
+        raise ResourceLimitError(f"{what} {a}**{e} exceeds cap {cap}")
+    return _check_cap(what, a**e, cap)
 
 
 class IndependentBasesError(ValueError):

@@ -33,7 +33,7 @@ from .digits import (
     check_digit,
     digit_runs,
 )
-from .errors import IndependentBasesError, ResourceLimitError, _json_reader
+from .errors import IndependentBasesError, _check_cap, _check_power, _json_reader
 
 __all__ = [
     "AttainabilityVerdict",
@@ -285,21 +285,10 @@ class JointTable:
         """
         fields = d["dependence"]
         dep = DependencePair(fields["a"], fields["e1"], fields["e2"])
-        _combined_base(dep, DEFAULT_ENUMERATION_CAP)
+        _check_power("combined base", dep.a, dep.e1 * dep.e2, DEFAULT_ENUMERATION_CAP)
         if len(d["cells"]) != (dep.base1 - 1) * (dep.base2 - 1):
             raise ValueError("payload sizes do not match its dependence pair")
         return joint_table(dep)
-
-
-def _combined_base(dep: DependencePair, cap: int) -> int:
-    """a**(e1*e2), refused past cap before it is computed.
-
-    a**e >= 2**(e * (bit_length(a) - 1)) bounds its size from e alone.
-    """
-    e = dep.e1 * dep.e2
-    if e * (dep.a.bit_length() - 1) >= cap.bit_length() or dep.a**e > cap:
-        raise ResourceLimitError(f"combined base {dep.a}**{e} exceeds enumeration cap {cap}")
-    return dep.a**e
 
 
 def joint_table(
@@ -314,7 +303,7 @@ def joint_table(
     >>> t.cell(9), t.cell(1), t.cell(48)
     ((2, 1), (1, 1), (3, 6))
     """
-    b = _combined_base(dep, cap)
+    b = _check_power("combined base", dep.a, dep.e1 * dep.e2, cap)
     runs = tuple(digit_runs((dep.base1, dep.base2), b - 1))
     return JointTable(dep=dep, combined_base=b, runs=runs)
 
@@ -421,16 +410,11 @@ class ImageReport:
     def from_json_dict(cls, d: dict) -> "ImageReport":
         """Rebuild the report of ``bases`` once its pair count passes the cap and ``pairs``."""
         b1, b2 = d["bases"]
-        _check_pair_count(check_base(b1), check_base(b2))
+        _check_cap("digit pairs", (check_base(b1) - 1) * (check_base(b2) - 1),
+                   DEFAULT_ENUMERATION_CAP)
         if len(d["pairs"]) != (b1 - 1) * (b2 - 1):
             raise ValueError("payload sizes do not match its bases")
         return image_exact(b1, b2, allow_independent=d["dependence"] is None)
-
-
-def _check_pair_count(b1: int, b2: int) -> None:
-    n, cap = (b1 - 1) * (b2 - 1), DEFAULT_ENUMERATION_CAP
-    if n > cap:
-        raise ResourceLimitError(f"{n} digit pairs exceed enumeration cap {cap}")
 
 
 def image_exact(
@@ -458,7 +442,7 @@ def image_exact(
             "digit map is surjective, so the exact image is trivially the whole "
             "codomain (pass allow_independent=True for the explicit report)"
         )
-    _check_pair_count(b1, b2)
+    _check_cap("digit pairs", (b1 - 1) * (b2 - 1), DEFAULT_ENUMERATION_CAP)
     if dep is None:
         rows = (((1, b2, "density"),),) * (b1 - 1)
     else:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import index
 from typing import Iterable, Iterator, Mapping
 
@@ -44,7 +45,7 @@ from .digits import (
     check_digit,
     iter_digit_tuples,
 )
-from .errors import ResourceLimitError, _json_reader
+from .errors import _check_cap, _json_reader
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -77,8 +78,7 @@ def _check_precision(precision) -> None:
     """Validate a working precision: an int of 16 to MAX_PRECISION bits."""
     if not isinstance(precision, int) or isinstance(precision, bool) or precision < 16:
         raise ValueError(f"precision must be an int >= 16 bits, got {precision!r}")
-    if precision > MAX_PRECISION:
-        raise ResourceLimitError(f"precision exceeds the {MAX_PRECISION}-bit cap")
+    _check_cap("precision", precision, MAX_PRECISION)
 
 
 # mpmath is imported at the first enclosure, not with the package: the
@@ -133,6 +133,9 @@ class _LogTable:
 
     @cached_property
     def edge_fixed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # all b edges at once are read only for bisection, so their number
+        # keeps to the bound of a one-base codomain
+        _check_cap("digit count of one base", self.b - 1, DEFAULT_TUPLE_CAP)
         return tuple(zip(*(_fixed(e, self.precision) for e in self.edges)))
 
     def split(self, lo: int, hi: int, den: int) -> tuple[int, int, int] | None:
@@ -246,13 +249,7 @@ def rectangle_of(
 
 
 def _codomain(bases: tuple[int, ...], cap: int):
-    size = 1
-    for b in bases:
-        size *= b - 1
-    if size > cap:
-        raise ResourceLimitError(
-            f"digit-tuple codomain has {size} elements, exceeding cap {cap}"
-        )
+    _check_cap("digit-tuple codomain", prod(b - 1 for b in bases), cap)
     return product(*(range(1, b) for b in bases))
 
 
@@ -500,8 +497,7 @@ def orbit_sample(
     (15, 21)
     """
     bs = check_bases(bases)
-    if _check_count("n_samples", n_samples) > sample_cap:
-        raise ResourceLimitError(f"n_samples {n_samples} exceeds cap {sample_cap}")
+    _check_cap("n_samples", _check_count("n_samples", n_samples), sample_cap)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     if sampler == "geometric":
@@ -512,23 +508,18 @@ def orbit_sample(
     if sampler == "low-discrepancy":
         _check_count("window", window)
     measures = measure_map(bs, precision=precision, cap=tuple_cap)
-    counts: Counter = Counter()
-    ambiguous = 0
+    # each sampler is a stream of digit tuples, None for an uncertified point
     if sampler == "integer-scan":
-        counts.update(iter_digit_tuples(bs, n_samples))
+        tuples = iter_digit_tuples(bs, n_samples)
     elif sampler == "geometric":
         cursor = _MantissaCursor(bs, x, r.numerator, r.denominator)
         indices = range(len(bs))
-        for m in range(n_samples):
-            counts[tuple([cursor.digit(i, m) for i in indices])] += 1
+        tuples = (tuple([cursor.digit(i, m) for i in indices]) for m in range(n_samples))
     else:
         fv = frequency_vector(bs, precision=precision)
-        for m in range(n_samples):
-            tup = classify_parameter(window * _van_der_corput(m), fv)
-            if tup is None:
-                ambiguous += 1
-            else:
-                counts[tup] += 1
+        tuples = (classify_parameter(window * _van_der_corput(m), fv) for m in range(n_samples))
+    counts = Counter(tuples)
+    ambiguous = counts.pop(None, 0)
     return CoverageReport(
         bases=bs,
         sampler=sampler,

@@ -34,7 +34,7 @@ from .digits import (
     digit_runs,
     leading_digit_tuple,
 )
-from .errors import ResourceLimitError, _json_reader
+from .errors import _check_cap, _json_reader
 from .image import AttainabilityVerdict, attainable_by_power_criterion
 
 __all__ = [
@@ -232,8 +232,7 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     >>> find_witness(WitnessQuery(bases=(4, 8), target=(2, 3))).outcome
     'not_attainable'
     """
-    if query.budget > budget_cap:
-        raise ResourceLimitError(f"budget {query.budget} exceeds cap {budget_cap}")
+    _check_cap("budget", query.budget, budget_cap)
     bases, target = query.bases, query.target
     report = pairwise_report(bases)
     for i, j, dep in report.dependent_pairs:
@@ -294,6 +293,5 @@ def image_observed(
     >>> len(image_observed((4, 8), 63))
     15
     """
-    if _check_count("x_max", x_max) > cap:
-        raise ResourceLimitError(f"x_max {x_max} exceeds scan cap {cap}")
+    _check_cap("x_max", _check_count("x_max", x_max), cap)
     return frozenset(digits for _, _, digits in digit_runs(bases, x_max))

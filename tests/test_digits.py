@@ -258,6 +258,11 @@ class TestRefineDigit:
             refine_digit(0, 4, 3)
         with pytest.raises(ValueError):
             refine_digit(64, 4, 3)
+        # the range is read off the split of D, at and far past b**e
+        assert refine_digit(3**20 - 1, 3, 20) == 2
+        for D in (3**20, 10**10**4):
+            with pytest.raises(ValueError):
+                refine_digit(D, 3, 20)
 
     @given(x=positive_rationals, b=st.integers(3, 20), e=st.integers(1, 3))
     @settings(max_examples=300)
