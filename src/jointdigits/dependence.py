@@ -14,14 +14,13 @@ roots, no factorization engine needed.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress
 from math import gcd, isqrt
 from operator import index
-from typing import Iterable
 
 from .digits import check_base, check_bases
-from .errors import _check_cap, _json_reader
+from .errors import _Record, _check_cap, _json_reader
 
 __all__ = [
     "MAX_BASE_BITS",
@@ -71,8 +70,7 @@ def integer_nth_root(y: int, n: int) -> tuple[int, bool]:
     return x, x**n == y
 
 
-@dataclass(frozen=True)
-class PrimitiveRoot:
+class PrimitiveRoot(_Record):
     """Canonical form b = root**exponent with root not a perfect power.
 
     Unique by unique factorization: the exponent is the gcd of the prime
@@ -131,8 +129,7 @@ def primitive_root(b: int) -> PrimitiveRoot:
     return PrimitiveRoot(root=root, exponent=exponent)
 
 
-@dataclass(frozen=True)
-class DependencePair:
+class DependencePair(_Record):
     """Certificate that base1 = a**e1 and base2 = a**e2 with gcd(e1,e2)=1.
 
     The combined base a**(e1*e2) = base1**e2 = base2**e1 is the least
@@ -202,8 +199,7 @@ def pair_dependence(b1: int, b2: int) -> DependencePair | None:
     return found[0][2] if found else None
 
 
-@dataclass(frozen=True)
-class DependenceReport:
+class DependenceReport(_Record):
     """All dependent pairs among a tuple of bases.
 
     ``dependent_pairs`` holds (i, j, certificate) for every i < j whose

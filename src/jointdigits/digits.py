@@ -22,12 +22,11 @@ base-b leading digit j, and ``refine_digit`` inverts that map.  For fixed
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator
 
-from .errors import _check_power
+from .errors import _Record, _check_power
 
 MIN_BASE = 3
 
@@ -206,8 +205,7 @@ def leading_digit_tuple(x, bases: Iterable[int]) -> tuple[int, ...]:
     return tuple(n // d for _, n, d in (_split(p, q, b) for b in bs))
 
 
-@dataclass(frozen=True)
-class DigitSet:
+class DigitSet(_Record):
     """The set of base-(base**exponent) leading digits refining to ``digit``.
 
     ``members`` is the union over l = 0..exponent-1 of the integer ranges

@@ -1,5 +1,5 @@
 """Exceptions shared across the package, the one rule every size cap keeps,
-and the rule every JSON reader keeps."""
+the rule every JSON reader keeps, and the base of every frozen record."""
 
 import json
 from functools import wraps
@@ -69,3 +69,51 @@ def _json_reader(rebuild):
         return obj
 
     return classmethod(from_json_dict)
+
+
+class _Record:
+    """Base of the package's frozen records, in place of frozen dataclasses.
+
+    A subclass names its fields as annotations, in order, and a class
+    attribute of a field's name is its default.  Each subclass gets an
+    ``__init__`` taking the fields by position or keyword, which calls
+    ``__post_init__`` when the class has one.  Records refuse assignment
+    and deletion, and repr, compare and hash as a frozen dataclass of the
+    same fields does; fields named in ``_uncompared`` are left out of ==
+    and hash.  Building this once per class is what keeps ``dataclasses``
+    (and the ``inspect`` and ``ast`` it loads) out of every process.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        params = "".join(f", {f}=_d[{f!r}]" if f in defaults else f", {f}" for f in fields)
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n self.__post_init__()"
+        key = "".join(f"self.{f}, " for f in fields if f not in cls._uncompared)
+        ns = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__(self{params}):{body or ' pass'}\n"
+             f"def _key(self): return ({key})", ns)
+        cls.__init__, cls._key = ns["__init__"], ns["_key"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain, repeat
 from operator import index
-from typing import Iterator
 
 from .dependence import DependencePair, pair_dependence
 from .digits import (
@@ -33,7 +32,7 @@ from .digits import (
     check_digit,
     digit_runs,
 )
-from .errors import IndependentBasesError, _check_cap, _check_power, _json_reader
+from .errors import IndependentBasesError, _Record, _check_cap, _check_power, _json_reader
 
 __all__ = [
     "AttainabilityVerdict",
@@ -72,8 +71,7 @@ def scan_window(dep: DependencePair) -> tuple[int, int]:
     return -(dep.e2 + 1), dep.e1 + 1
 
 
-@dataclass(frozen=True)
-class AttainabilityVerdict:
+class AttainabilityVerdict(_Record):
     """Outcome of the power-interval criterion for one digit pair.
 
     If attainable, ``certificate`` is the smallest integer c satisfying the
@@ -196,8 +194,7 @@ def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
             yield major, lo, n_minor, False
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(_Record):
     """Joint digit pair as a function of the combined-base leading digit.
 
     Every x whose leading digit in the combined base b = base1**e2 =
@@ -318,8 +315,7 @@ def image_via_table(
     return joint_table(dep, cap=cap).image()
 
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(_Record):
     """Classification of every digit pair of (base1, base2), row by row.
 
     ``rows[j1 - 1]`` tiles j2 = 1..base2-1 with intervals (j2_start,

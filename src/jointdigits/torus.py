@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import index
-from typing import Iterable, Iterator, Mapping
 
 from .digits import (
     DEFAULT_SCAN_CAP,
@@ -45,7 +44,7 @@ from .digits import (
     check_digit,
     iter_digit_tuples,
 )
-from .errors import _check_cap, _json_reader
+from .errors import _Record, _check_cap, _json_reader
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -155,8 +154,7 @@ class _LogTable:
 _log_table = lru_cache(maxsize=64)(_LogTable)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(_Record):
     """Certified enclosures of the orbit frequencies 1/ln(b_i)."""
 
     bases: tuple[int, ...]
@@ -181,8 +179,7 @@ def frequency_vector(
     return FrequencyVector(bases=bs, precision=precision, omega=omega)
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Record):
     """The torus rectangle of a digit tuple, with certified endpoints.
 
     Coordinate i spans [log_{b_i}(j_i), log_{b_i}(j_i + 1)) inside [0, 1);
@@ -357,8 +354,7 @@ def _van_der_corput(m: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(_Record):
     """Hit counts of orbit samples against the rectangle partition.
 
     ``hit_counts`` maps digit tuples to sample counts;

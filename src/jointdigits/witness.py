@@ -20,9 +20,8 @@ certificate: those are provably not attainable at any budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from operator import index
-from typing import Iterable
 
 from .dependence import DependenceReport, pair_dependence, pairwise_report
 from .digits import (
@@ -34,7 +33,7 @@ from .digits import (
     digit_runs,
     leading_digit_tuple,
 )
-from .errors import _check_cap, _json_reader
+from .errors import _Record, _check_cap, _json_reader
 from .image import AttainabilityVerdict, attainable_by_power_criterion
 
 __all__ = [
@@ -53,8 +52,7 @@ NOT_ATTAINABLE = "not_attainable"
 EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class WitnessQuery:
+class WitnessQuery(_Record):
     """A witness request: distinct bases, a target digit per base, a budget.
 
     ``anchor`` selects which coordinate the scan pins first; with
@@ -85,8 +83,7 @@ class WitnessQuery:
             raise ValueError(f"anchor must be an int in 0..{len(bs) - 1}, got {self.anchor!r}")
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(_Record):
     """Found(x, anchor, k) | NotAttainable(certificate) | Exhausted(k, note).
 
     Found results always re-verify: leading_digit_tuple(x, bases) equals
@@ -102,7 +99,9 @@ class WitnessResult:
     certificate: AttainabilityVerdict | None = None
     obstruction: tuple[int, int] | None = None
     k_reached: int | None = None
-    assumption_note: str | None = field(default=None, compare=False)
+    assumption_note: str | None = None
+
+    _uncompared = ("assumption_note",)
 
     @property
     def found(self) -> bool:

@@ -517,6 +517,20 @@ class TestLazyMpmath:
         )
         assert out == "[0, 0, 0, 0, 0] False\n0 True\n"
 
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # -S: no site module, which would have loaded typing before the package
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys\n"
+             "before = set(sys.modules)\n"
+             "import jointdigits.cli\n"
+             "new = set(sys.modules) - before\n"
+             "print(sorted(new & {'dataclasses', 'inspect', 'typing'}))\n"],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestSignals:
     def test_closed_pipe_exits_quietly(self):

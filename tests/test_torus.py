@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,8 +335,8 @@ class TestOrbitSample:
         payload = rep.to_json_dict()
         # 51 counts for 50 samples and -1 ambiguous: the text is self-consistent
         tup = next(iter(rep.hit_counts))
-        negative = replace(rep, boundary_ambiguous=-1,
-                           hit_counts={**rep.hit_counts, tup: rep.hit_counts[tup] + 1})
+        negative = CoverageReport(**{**vars(rep), "boundary_ambiguous": -1,
+                                     "hit_counts": {**rep.hit_counts, tup: rep.hit_counts[tup] + 1}})
 
         def tampered(**changes):
             d = dict(payload, cells=[dict(c) for c in payload["cells"]])
