@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from operator import index
 
 from .digits import check_base, check_bases
-from .errors import _Record, _check_cap, _json_reader
+from .errors import _Record, _check_cap, _check_power, _json_reader
 
 __all__ = [
     "MAX_BASE_BITS",
@@ -37,6 +37,10 @@ __all__ = [
 # 2048-bit non-power takes about 12 ms on a shared 2-core machine (CPython
 # 3.11), well under any interactive bound.
 MAX_BASE_BITS = 2048
+
+# a combined base is written out in full: at most 10**4299, it has at most
+# 4300 decimal digits, as many as int() and json.loads read by default
+_COMBINED_BASE_CAP = 10**4299
 
 
 def integer_nth_root(y: int, n: int) -> tuple[int, bool]:
@@ -160,7 +164,8 @@ class DependencePair(_Record):
 
     @property
     def combined_base(self) -> int:
-        return self.a ** (self.e1 * self.e2)
+        """a**(e1*e2); ResourceLimitError past _COMBINED_BASE_CAP, before it is built."""
+        return _check_power("combined base", self.a, self.e1 * self.e2, _COMBINED_BASE_CAP)
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "e1": self.e1, "e2": self.e2,

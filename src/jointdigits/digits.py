@@ -22,18 +22,19 @@ base-b leading digit j, and ``refine_digit`` inverts that map.  For fixed
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import _Record, _check_power
+from .errors import _Record, _check_cap, _check_power
 
 MIN_BASE = 3
 
 # digit_set materializes {1,...,b**e - 1}; refuse universes past this size
 DEFAULT_ENUMERATION_CAP = 1 << 24
-# longest integer scan, sample count or witness budget; the CLI reads
-# JOINTDIGITS_SCAN_CAP in its place
+# longest integer scan, sample count or witness budget, and the most bits
+# of digit_set_ranges endpoints; the CLI reads JOINTDIGITS_SCAN_CAP in its place
 DEFAULT_SCAN_CAP = 10**8
 
 _RATIONAL_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
@@ -121,13 +122,38 @@ def _parse_terms(text: str) -> tuple[int, int]:
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not an integer or p/q rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    powers: dict[int, int] = {}
+    num = _parse_decimal(m.group(1), powers)
+    den = _parse_decimal(m.group(2), powers) if m.group(2) else 1
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     if num == 0:
         raise ValueError(f"expected a positive value: {text!r}")
     return num, den
+
+
+# int() is quadratic in the digits of a decimal string; past this length
+# _parse_decimal splits the string instead
+_PARSE_CUTOFF = 3000
+
+
+def _parse_decimal(digits: str, powers: dict[int, int]) -> int:
+    """int(digits) for a string of decimal digits, in subquadratic time.
+
+    A string past _PARSE_CUTOFF digits is split so that its low part has
+    k digits, k the largest power of two below its length, and parsed as
+    int(high) * 10**k + int(low), each part in the same way, with 10**k
+    kept in ``powers`` for the other parts.  That costs O(M(n) log n) for
+    n digits, with M the cost of a multiplication.  A string longer than
+    sys.get_int_max_str_digits(), when that limit is set, goes to int()
+    whole, so it is refused just as int() refuses it.
+    """
+    n = len(digits)
+    if n <= _PARSE_CUTOFF or 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < n:
+        return int(digits)
+    k = 1 << (n - 1).bit_length() - 1
+    power = powers.get(k) or powers.setdefault(k, 10**k)
+    return _parse_decimal(digits[:-k], powers) * power + _parse_decimal(digits[-k:], powers)
 
 
 def _split(p: int, q: int, b: int) -> tuple[int, int, int]:
@@ -258,10 +284,14 @@ def digit_set_ranges(b: int, e: int, j: int) -> tuple[tuple[int, int], ...]:
 
     Returned ascending; consecutive ranges never touch (for b >= 3 the gap
     (j+1) * b**l .. j * b**(l+1) is nonempty), so this is also the minimal
-    run-length representation of the set.
+    run-length representation of the set.  The endpoints hold about
+    e**2 * log2(b) bits in all; past DEFAULT_SCAN_CAP bits (counted as
+    e * e * bit_length(b)) ResourceLimitError is raised before any range
+    is built, and digit_set_contains is the route that scales.
     """
     check_digit(j, b)
     _check_exponent(e)
+    _check_cap("digit_set_ranges endpoint bits", e * e * b.bit_length(), DEFAULT_SCAN_CAP)
     return tuple((j * b**l, (j + 1) * b**l) for l in range(e))
 
 
@@ -337,23 +367,31 @@ class _MantissaCursor:
     mantissa of x_n (P = _MANTISSA_BITS, m unstored).  Advancing a base by d
     steps multiplies both bounds by p**d and divides them by q**d, lo
     rounded down and hi rounded up, then divides (or multiplies) both by b
-    while they show that the mantissa has left [1, b).  The digit is
+    while they show that the mantissa has left [1, b).  A jump of d > 1
+    steps first divides by one cached power b**e, with e read off the bit
+    lengths so that it never passes the loop's stopping point; as
+    floor(floor(x / b) / b) = floor(x / b**2), and likewise for ceilings,
+    the bounds are those of e single divisions, bit for bit.  The digit is
     lo >> P when hi >> P agrees with it, since then both bounds lie in one
     unit interval [j, j + 1) inside [1, b).  Bounds that straddle a power
     of b or a digit edge are rebuilt from the exact mantissa (_rebuild),
-    the only exact arithmetic on the walk.  So a step costs O(1)
-    operations on integers of about P bits however large x_n has grown,
-    and every digit is exact: a fast approximate path with an exact
-    fallback (Ziv, ACM TOMS 17(3), 1991).
+    the only exact arithmetic on the walk.  So a step, or a jump of d steps
+    up, costs O(1) operations on integers of about P + d * log2(p) bits
+    however large x_n has grown, and every digit is exact: a fast
+    approximate path with an exact fallback (Ziv, ACM TOMS 17(3), 1991).
 
     Bases advance independently and lazily, so a caller may stop reading
-    bases early; n must not decrease for any one base.
+    bases early or skip steps; n must not decrease for any one base.
     """
 
     def __init__(self, bases: Iterable[int], x0, p: int, q: int = 1):
         self.p, self.q = p, q
         self.bits = _MANTISSA_BITS
         self.bases = tuple(bases)
+        # per base: the bit length of b**64, above 64 * log2(b) by at most
+        # one, and the powers b**e of its jumps so far
+        self.log64 = [(b**64).bit_length() for b in self.bases]
+        self.powers = [{} for _ in self.bases]
         # per base: (n, x_n / b**m) at its last rebuild, and [n, lo, hi]
         self.exact = [(0, Fraction(x0))] * len(self.bases)
         self.state = [[0, *self._rebuild(i, 0)] for i in range(len(self.bases))]
@@ -387,6 +425,15 @@ class _MantissaCursor:
                 step = self.q**d
                 lo, hi = lo // step, -(-hi // step)
             one, top = 1 << bits, b << bits
+            if d > 1:
+                # top * b**(e-1) < 2**(top.bit_length() + (e-1) * log64 / 64)
+                # <= 2**(lo.bit_length() - 1) <= lo: the loop below would
+                # divide at least e times
+                e = 64 * (lo.bit_length() - 1 - top.bit_length()) // self.log64[i] + 1
+                if e > 0:
+                    powers = self.powers[i]
+                    step = powers.get(e) or powers.setdefault(e, b**e)
+                    lo, hi = lo // step, -(-hi // step)
             while lo >= top:
                 lo, hi = lo // b, -(-hi // b)
             while hi < one:

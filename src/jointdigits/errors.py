@@ -22,7 +22,7 @@ def _check_cap(what: str, size: int, cap: int) -> int:
     anything that large is built.
     """
     if size > cap:
-        raise ResourceLimitError(f"{what} {size} exceeds cap {cap}")
+        raise ResourceLimitError(f"{what} {_show(size)} exceeds cap {_show(cap)}")
     return size
 
 
@@ -32,9 +32,16 @@ def _check_power(what: str, a: int, e: int, cap: int) -> int:
     a**e >= 2**(e * (bit_length(a) - 1)) bounds its size from e alone, so
     a power that is built has fewer than twice the bits of cap.
     """
-    if e * (a.bit_length() - 1) >= cap.bit_length():
-        raise ResourceLimitError(f"{what} {a}**{e} exceeds cap {cap}")
-    return _check_cap(what, a**e, cap)
+    power = None if e * (a.bit_length() - 1) >= cap.bit_length() else a**e
+    if power is None or power > cap:
+        raise ResourceLimitError(f"{what} {a}**{e} exceeds cap {_show(cap)}")
+    return power
+
+
+def _show(n: int) -> str:
+    """n in decimal, or its bit length where the decimal form would run long
+    (str() of an int past 4300 digits even raises under the default limit)."""
+    return str(n) if n.bit_length() <= 256 else f"of {n.bit_length()} bits"
 
 
 class IndependentBasesError(ValueError):

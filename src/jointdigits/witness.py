@@ -5,7 +5,11 @@ bases[i] is target[i] for every i.  The search strategy pins one
 coordinate exactly: the candidates x_k = target[i] * bases[i]**k all have
 leading digit target[i] in bases[i] (digit string target[i] followed by k
 zeros), so only the other coordinates need checking, and each check is an
-exact integer comparison.  For two independent bases the fractional parts
+exact integer comparison.  Only the k at which one further base, chosen
+independent of the anchor, has its target digit can hit, and the gaps
+between those k take at most three values (the three-gap theorem on
+return times), so the scan jumps from one such k to the next rather than
+stepping through every k.  For two independent bases the fractional parts
 of log_{b_j}(x_k) form an irrational rotation, so a hit is guaranteed and
 the budget bounds time only; for three or more pairwise-independent bases
 termination is conjectural (Schanuel), so running out of budget is an
@@ -192,6 +196,55 @@ def _exhaustion_note(report: DependenceReport) -> str:
     )
 
 
+def _return_gaps(anchor_base: int, b: int, j: int, limit: int) -> tuple[int, ...]:
+    """The possible gaps between consecutive k at which x_k = x0 * anchor_base**k has digit j in b.
+
+    On the circle, k rotates log_b(x_k) by alpha = log_b(anchor_base), and
+    digit j is an arc of length l = log_b(1 + 1/j).  With
+    r1 = min{r >= 1 : {r alpha} < l} and r2 = min{r >= 1 : {r alpha} > 1 - l},
+    the next hit after a hit is r1, r2 or r1 + r2 steps on, for any x0 and
+    irrational alpha (the three-gap theorem on return times; Slater 1967).
+    Both are exact digit tests: {r alpha} < l iff j * anchor_base**r has
+    leading digit j in b, and {r alpha} > 1 - l iff {-r alpha} < l, iff
+    j / anchor_base**r does.  Returns sorted({r1, r2, r1 + r2}), or (1,),
+    the gap of the linear scan, when r1 or r2 exceeds limit.
+    """
+    returns = []
+    for p, q in ((anchor_base, 1), (1, anchor_base)):
+        cursor = _MantissaCursor((b,), j, p, q)
+        r = next((r for r in range(1, limit + 1) if cursor.digit(0, r) == j), None)
+        if r is None:
+            return (1,)
+        returns.append(r)
+    r1, r2 = returns
+    return tuple(sorted({r1, r2, r1 + r2}))
+
+
+def _skip_base(
+    bases: tuple[int, ...], target: tuple[int, ...], anchor: int, others: list[int], limit: int
+) -> tuple[int, tuple[int, ...]]:
+    """(c, gaps): the base others[c] to jump between the hits of, and its _return_gaps.
+
+    Only a base independent of the anchor has an irrational rotation.  Of
+    those, the one with the longest mean gap 1/l = ln(b) / ln(1 + 1/j),
+    about (j + 1/2) * ln(b), is hit least often; the integer
+    (2j + 1) * bit_length(b**16), about 46 mean gaps, ranks them.  Its
+    return times are searched up to a quarter of that, or limit if less:
+    near a rational alpha one of them can run far past the mean gap, and
+    such a search is cut short, leaving the scan linear, rather than run
+    for most of the budget.  (0, (1,)) when there is no such base.
+    """
+    dependent = {i + j - anchor for i, j, _ in pairwise_report(bases).dependent_pairs
+                 if anchor in (i, j)}
+    ranked = [((2 * target[i] + 1) * (bases[i] ** 16).bit_length(), c)
+              for c, i in enumerate(others) if i not in dependent]
+    if not ranked:
+        return 0, (1,)
+    rank, c = max(ranked, key=lambda r: r[0])
+    i = others[c]
+    return c, _return_gaps(bases[anchor], bases[i], target[i], min(limit, rank // 4))
+
+
 def _scan_anchor(
     bases: tuple[int, ...], target: tuple[int, ...], anchor: int, budget: int
 ) -> tuple[int, int] | None:
@@ -199,28 +252,60 @@ def _scan_anchor(
 
     Returns (x, k) for the first k whose candidate matches every
     non-anchor digit.  A mantissa cursor reads each other base's digit of
-    x_k from fixed-point bounds, so a step costs O(1) operations on small
+    x_k from fixed-point bounds, so a read costs O(1) operations on small
     integers however many bits x_k has; x_k itself is built only for the
     hit.  Each candidate stops at the first base whose digit misses.
+
+    The scan steps k by one until the first base read hits and another
+    misses.  From then on it reads a skip base first (_skip_base) and,
+    once at a hit of it, jumps straight to its next hit, the first of
+    k + g for g in _return_gaps that hits: the k between are misses of
+    that base, so the hit it returns is the linear scan's.  That reads
+    at most about 3 * budget * l candidates, with l = log_b(1 + 1/j) for
+    the skip base's b and j, instead of budget + 1.  A jump that lands on
+    a miss of the skip base contradicts the theorem and raises
+    RuntimeError.
     """
     others = [i for i in range(len(bases)) if i != anchor]
     cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
     wanted = list(enumerate(target[i] for i in others))
-    for k in range(budget + 1):
+    k, gaps, jumps = 0, (1,), None
+    while k <= budget:
         for i, j in wanted:
             if cursor.digit(i, k) != j:
                 break
         else:
             return target[anchor] * bases[anchor] ** k, k
+        if i == wanted[0][0]:  # the first base read misses
+            if len(gaps) > 1:
+                raise RuntimeError(f"base {bases[others[i]]} misses at k = {k}, one of the "
+                                   f"return times {gaps} after one of its hits")
+        elif jumps is None:  # it hits and base i misses: pick the skip base, once
+            skip, jumps = _skip_base(bases, target, anchor, others, budget - k)
+            wanted.sort(key=lambda w: w[0] != skip)
+            continue
+        else:
+            gaps = jumps
+        # the next k is k + 1, or the first return of the skip base that hits;
+        # the last return is taken unread, as the skip base is read first at k
+        g = gaps[-1]
+        skip, j = wanted[0]
+        for gap in gaps[:-1]:
+            if k + gap > budget or cursor.digit(skip, k + gap) == j:
+                g = gap
+                break
+        k += g
     return None
 
 
 def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> WitnessResult:
     """Find x with the requested joint digits, or certify why not / give up.
 
-    A budget above ``budget_cap`` is refused before any work: the scan takes
-    up to budget + 1 steps per anchor, and the x it returns (like the exact
-    mantissa of a rare fallback) has up to budget * log2(b) bits.  Stage 1
+    A budget above ``budget_cap`` is refused before any work: the scan reads
+    up to budget + 1 candidates per anchor (on three or more bases, about
+    3 * budget * log_b(1 + 1/j) once it jumps between the hits of a base b
+    with target digit j), and the x it returns (like the exact mantissa of
+    a rare fallback) has up to budget * log2(b) bits.  Stage 1
     rejects targets excluded by any dependent pair of the bases (provable,
     budget-independent).  Stage 2 runs the anchored scan from
     query.anchor; stage 3 retries the remaining anchors.  Among anchors

@@ -1,5 +1,7 @@
 """Size caps: one rule refuses every over-cap input before anything that large is built."""
 
+import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from jointdigits import (
     DependencePair,
+    DependenceReport,
     ResourceLimitError,
     WitnessQuery,
     classify_parameter,
     digit_set,
+    digit_set_ranges,
     find_witness,
     frequency_vector,
     image_exact,
@@ -21,10 +25,12 @@ from jointdigits import (
     joint_table,
     measure_map,
     orbit_sample,
+    pairwise_report,
     primitive_root,
     rectangle_of,
     refine_digit,
 )
+from jointdigits.cli import main
 from jointdigits.errors import _check_cap, _check_power
 
 # one cheap over-cap input per cap
@@ -39,6 +45,8 @@ OVER_CAP = {
         WitnessQuery(bases=(3, 10), target=(2, 9), budget=11), budget_cap=10),
     "image_observed": lambda: image_observed((3, 10), 10**8 + 1),
     "digit_set": lambda: digit_set(3, 10**7, 1),
+    "digit_set_ranges": lambda: digit_set_ranges(3, 8000, 1),
+    "deps": lambda: pairwise_report((2**150, 2**151)).to_json_dict(),
     "classify_parameter": lambda: classify_parameter(
         Fraction(1, 2), frequency_vector((100003,))),
 }
@@ -77,6 +85,30 @@ def test_sizes_are_bounded_before_work():
     ]
     for call in calls:
         assert _peak_bytes(call) < 1 << 20
+
+
+def test_deps_json_reads_back_under_the_default_digit_limit(capsys):
+    # a combined base past the cap is refused, not printed; one under it
+    # has at most 4300 digits, which json.loads reads with the default limit
+    limit = sys.get_int_max_str_digits()
+    try:
+        for bases in (f"{2**150},{2**151}", f"{2**2046},{2**2047}"):
+            assert main(["deps", "--bases", bases, "--output", "json"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "exceeds cap" in err
+        assert main(["deps", "--bases", f"{10**65},{10**66}"]) == 0
+        assert "combined_base=1" + "0" * 4290 + "\n" in capsys.readouterr().out
+        assert main(["deps", "--bases", f"{10**65},{10**66},7", "--output", "json"]) == 0
+        sys.set_int_max_str_digits(4300)
+        report = DependenceReport.from_json_dict(json.loads(capsys.readouterr().out))
+        assert report.dependent_pairs[0][2].combined_base == 10**4290
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_ranges_refuse_before_building():
+    assert len(digit_set_ranges(3, 2000, 1)) == 2000
+    assert _peak_bytes(lambda: digit_set_ranges(3, 8000, 1)) < 1 << 20
 
 
 def test_one_rectangle_of_a_large_base_needs_no_edge_table():

@@ -4,9 +4,11 @@ The anchored witness scan and the geometric sampler used to carry the
 exact x from step to step and move a power bracket along with it.  Those
 walks are kept here as oracles: the cursor must give the same hit (x and
 k) and the same hit counts, at the default scale and at a scale so small
-that the exact fallback runs often.  The run sweep moved the same bracket
-up to each run start; that sweep is kept as the oracle of the digit
-odometer in digit_runs.
+that the exact fallback runs often.  The scan's jumps between the hits
+of one base, and the cursor's jumps of many steps at once, are held to
+the same oracle and to the one-step normalisation they replace.  The run
+sweep moved the same bracket up to each run start; that sweep is kept as
+the oracle of the digit odometer in digit_runs.
 """
 
 import random
@@ -18,9 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jointdigits.digits
-from jointdigits import WitnessQuery, digit_runs, find_witness, orbit_sample
+from jointdigits import (
+    WitnessQuery,
+    digit_runs,
+    find_witness,
+    leading_digit,
+    orbit_sample,
+)
 from jointdigits.digits import _MantissaCursor
-from jointdigits.witness import _scan_anchor
+from jointdigits.witness import _return_gaps, _scan_anchor
 
 
 def _exact(v):
@@ -121,6 +129,140 @@ class TestWitnessScan:
                 assert hit == exact_scan_anchor(bases, target, anchor, 300)
                 found += hit is not None
         assert found > len(targets)
+
+
+# independent bases that share primes: their digit edges meet exactly, as
+# 2 * 6**3 = 3 * 12**2 does
+SHARED_PRIMES = [(6, 12), (10, 20), (18, 24), (12, 18), (15, 45)]
+
+
+@st.composite
+def long_scan_queries(draw):
+    pair = list(draw(st.sampled_from(SHARED_PRIMES)))
+    extra = draw(st.lists(st.integers(3, 40).filter(lambda b: b not in pair),
+                          min_size=1, max_size=2, unique=True))
+    bases = tuple(draw(st.permutations(pair + extra)))
+    # the top digits have the shortest arcs, so their targets often exhaust
+    target = tuple(draw(st.integers(1, b - 1) | st.sampled_from((b - 2, b - 1)))
+                   for b in bases)
+    budget = draw(st.integers(1, 3000) | st.integers(3000, 30_000))
+    return bases, target, draw(st.integers(0, len(bases) - 1)), budget
+
+
+def exact_hits(anchor_base, b, j, x0, n):
+    """The k < n at which x0 * anchor_base**k has leading digit j in b."""
+    return [k for k in range(n) if leading_digit(x0 * anchor_base**k, b) == j]
+
+
+class TestReturnTimes:
+    @given(query=long_scan_queries())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_exact_scan_at_large_budgets(self, query):
+        assert _scan_anchor(*query) == exact_scan_anchor(*query)
+
+    @pytest.mark.parametrize("bases", [(6, 12, 17), (10, 20, 13), (18, 24, 5), (6, 12, 18, 24)])
+    def test_shared_primes_found_and_exhausted(self, bases):
+        rng = random.Random(str(bases))
+        outcomes = Counter()
+        for _ in range(30):
+            target = tuple(rng.randrange(1, b) for b in bases)
+            query = bases, target, rng.randrange(len(bases)), rng.choice((400, 4000))
+            hit = _scan_anchor(*query)
+            assert hit == exact_scan_anchor(*query)
+            outcomes[hit is None] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_return_times_take_the_strict_sides(self):
+        # 2 * 6**3 = 3 * 12**2 puts {3 alpha} on the end of digit 2's arc in
+        # base 12, and 6 = 12 / 2 puts {alpha} on the start of 1 - l for
+        # digit 1: neither is a return
+        assert _return_gaps(6, 12, 2, 100) == (4, 7, 11)
+        assert _return_gaps(6, 12, 1, 100) == (3, 4, 7)
+        assert leading_digit(2 * 6**3, 12) == 3
+        for anchor_base, b, j in [(6, 12, 2), (6, 12, 1), (12, 6, 3), (10, 20, 1),
+                                  (18, 24, 5), (24, 18, 3), (3, 10, 9), (7, 17, 16)]:
+            gaps = _return_gaps(anchor_base, b, j, 1000)
+            seen = set()
+            for x0 in (1, 2, 3, 5, 7, 11, 13, Fraction(1, 3), Fraction(22, 7)):
+                hits = exact_hits(anchor_base, b, j, x0, 300)
+                seen |= {y - x for x, y in zip(hits, hits[1:])}
+            assert seen <= set(gaps), (anchor_base, b, j)
+            assert min(seen) == gaps[0]
+
+    def test_returns_past_the_limit_give_the_linear_gap(self):
+        assert _return_gaps(7, 17, 16, 20) == (1,)
+        assert _return_gaps(7, 17, 16, 10**4) == (16, 67, 83)
+
+    def test_jumps_read_a_fraction_of_the_budget(self, monkeypatch):
+        # exhausted queries of the benchmark's hard class: the scan and the
+        # return-time searches together read at most a fifth of the budget
+        reads = []
+        digit = _MantissaCursor.digit
+
+        def counted(self, i, n):
+            reads.append(n)
+            return digit(self, i, n)
+
+        monkeypatch.setattr(_MantissaCursor, "digit", counted)
+        for query in [((7, 11, 13, 17), (6, 10, 12, 16), 0, 30_000),
+                      ((5, 7, 11, 13), (4, 6, 10, 12), 1, 30_000)]:
+            reads.clear()
+            assert _scan_anchor(*query) is None
+            assert 5 * len(reads) <= query[-1] + 1
+
+
+class StepwiseCursor(_MantissaCursor):
+    """The cursor as it normalised before bulk division: one // b per power."""
+
+    def digit(self, i, n):
+        state, b, bits = self.state[i], self.bases[i], self.bits
+        lo, hi = state[1], state[2]
+        d = n - state[0]
+        if d:
+            step = self.p**d
+            lo, hi = lo * step, hi * step
+            if self.q != 1:
+                step = self.q**d
+                lo, hi = lo // step, -(-hi // step)
+            one, top = 1 << bits, b << bits
+            while lo >= top:
+                lo, hi = lo // b, -(-hi // b)
+            while hi < one:
+                lo, hi = lo * b, hi * b
+        j = lo >> bits
+        if j != hi >> bits:
+            lo, hi = self._rebuild(i, n)
+            j = lo >> bits
+        state[:] = n, lo, hi
+        return j
+
+
+class TestBulkNormalisation:
+    @given(
+        bases=st.lists(st.integers(3, 10**6), min_size=1, max_size=3, unique=True),
+        x0=st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)),
+        ratio=rational_ratios,
+        jumps=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_jumps_keep_the_stepwise_bounds(self, bases, x0, ratio, jumps):
+        bulk = _MantissaCursor(bases, x0, ratio.numerator, ratio.denominator)
+        stepwise = StepwiseCursor(bases, x0, ratio.numerator, ratio.denominator)
+        n = 0
+        for d in jumps:
+            n += d
+            for i in range(len(bases)):
+                assert bulk.digit(i, n) == stepwise.digit(i, n)
+            assert bulk.state == stepwise.state
+            assert bulk.exact == stepwise.exact
+
+    def test_long_jumps_of_a_large_ratio(self):
+        # x_n grows by 3 * 2**64 a step, so a jump divides by thousands of bases
+        bulk, stepwise = (cls((3, 10, 2**61 - 1), 7, 3 << 64)
+                          for cls in (_MantissaCursor, StepwiseCursor))
+        for n in (1, 2, 100, 101, 300):
+            assert [bulk.digit(i, n) for i in range(3)] == [stepwise.digit(i, n) for i in range(3)]
+            assert bulk.state == stepwise.state
 
 
 class TestRunSweep:

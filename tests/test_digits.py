@@ -1,6 +1,7 @@
 """Digit-core tests: exact leading digits, digit sets, refinement."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
-from jointdigits.digits import _MantissaCursor, _split
+from jointdigits.digits import _PARSE_CUTOFF, _MantissaCursor, _parse_decimal, _split
 
 
 def repeated_division_digit(x, b):
@@ -351,6 +352,37 @@ class TestParsing:
     def test_rejects_inexact_or_nonpositive(self, bad):
         with pytest.raises(ValueError):
             parse_positive_rational(bad)
+
+    @given(
+        length=st.integers(1, 40) | st.integers(_PARSE_CUTOFF - 5, _PARSE_CUTOFF + 5)
+        | st.integers(2 * _PARSE_CUTOFF - 3, 2 * _PARSE_CUTOFF + 3) | st.integers(1, 20_000),
+        zeros=st.integers(0, 5) | st.integers(_PARSE_CUTOFF - 2, _PARSE_CUTOFF + 2),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_parse_matches_int(self, length, zeros, seed):
+        # leading zeros are part of the grammar, and can fill a whole half
+        rng = random.Random(seed)
+        digits = "0" * zeros + "".join(rng.choice("0123456789") for _ in range(length))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _parse_decimal(digits, {}) == int(digits)
+            if int(digits):
+                assert parse_positive_rational(f"{digits}/7") == Fraction(int(digits), 7)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_library_keeps_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert parse_positive_rational("9" * 4300) == 10**4300 - 1
+            for text in ("9" * 4301, f"1/{'9' * 4301}", "0" * 4000 + "1" * 301):
+                with pytest.raises(ValueError, match="Exceeds the limit"):
+                    parse_positive_rational(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_as_positive_rational(self):
         assert as_positive_rational(5) == 5
