@@ -315,11 +315,20 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # witnesses can run to thousands of digits; lift the int->str guard
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # witnesses can run to thousands of digits: lift the int->str guard for
+    # this call only, and give the caller its limit back, on SystemExit too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return _run(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

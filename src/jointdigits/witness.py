@@ -5,10 +5,11 @@ bases[i] is target[i] for every i.  The search strategy pins one
 coordinate exactly: the candidates x_k = target[i] * bases[i]**k all have
 leading digit target[i] in bases[i] (digit string target[i] followed by k
 zeros), so only the other coordinates need checking, and each check is an
-exact integer comparison.  Only the k at which one further base, chosen
-independent of the anchor, has its target digit can hit, and the gaps
-between those k take at most three values (the three-gap theorem on
-return times), so the scan jumps from one such k to the next rather than
+exact integer comparison.  The other bases are read in one order fixed
+before the scan, the rarest base independent of the anchor first; only
+the k at which it has its target digit can hit, and the gaps between
+those k take at most three values (the three-gap theorem on return
+times), so the scan jumps from one such k to the next rather than
 stepping through every k.  For two independent bases the fractional parts
 of log_{b_j}(x_k) form an irrational rotation, so a hit is guaranteed and
 the budget bounds time only; for three or more pairwise-independent bases
@@ -220,31 +221,6 @@ def _return_gaps(anchor_base: int, b: int, j: int, limit: int) -> tuple[int, ...
     return tuple(sorted({r1, r2, r1 + r2}))
 
 
-def _skip_base(
-    bases: tuple[int, ...], target: tuple[int, ...], anchor: int, others: list[int], limit: int
-) -> tuple[int, tuple[int, ...]]:
-    """(c, gaps): the base others[c] to jump between the hits of, and its _return_gaps.
-
-    Only a base independent of the anchor has an irrational rotation.  Of
-    those, the one with the longest mean gap 1/l = ln(b) / ln(1 + 1/j),
-    about (j + 1/2) * ln(b), is hit least often; the integer
-    (2j + 1) * bit_length(b**16), about 46 mean gaps, ranks them.  Its
-    return times are searched up to a quarter of that, or limit if less:
-    near a rational alpha one of them can run far past the mean gap, and
-    such a search is cut short, leaving the scan linear, rather than run
-    for most of the budget.  (0, (1,)) when there is no such base.
-    """
-    dependent = {i + j - anchor for i, j, _ in pairwise_report(bases).dependent_pairs
-                 if anchor in (i, j)}
-    ranked = [((2 * target[i] + 1) * (bases[i] ** 16).bit_length(), c)
-              for c, i in enumerate(others) if i not in dependent]
-    if not ranked:
-        return 0, (1,)
-    rank, c = max(ranked, key=lambda r: r[0])
-    i = others[c]
-    return c, _return_gaps(bases[anchor], bases[i], target[i], min(limit, rank // 4))
-
-
 def _scan_anchor(
     bases: tuple[int, ...], target: tuple[int, ...], anchor: int, budget: int
 ) -> tuple[int, int] | None:
@@ -256,42 +232,50 @@ def _scan_anchor(
     integers however many bits x_k has; x_k itself is built only for the
     hit.  Each candidate stops at the first base whose digit misses.
 
-    The scan steps k by one until the first base read hits and another
-    misses.  From then on it reads a skip base first (_skip_base) and,
-    once at a hit of it, jumps straight to its next hit, the first of
-    k + g for g in _return_gaps that hits: the k between are misses of
-    that base, so the hit it returns is the linear scan's.  That reads
-    at most about 3 * budget * l candidates, with l = log_b(1 + 1/j) for
-    the skip base's b and j, instead of budget + 1.  A jump that lands on
-    a miss of the skip base contradicts the theorem and raises
-    RuntimeError.
+    The read order is fixed before k = 0: the bases independent of the
+    anchor, then the dependent ones, each group rarest first by the integer
+    rank (2j + 1) * bit_length(b**16), about 46 mean gaps 1/l, where
+    l = log_b(1 + 1/j) and 1/l = ln(b) / ln(1 + 1/j) ~ (j + 1/2) * ln(b).
+    The scan steps k by one while the first base misses.  The first time
+    it hits and another base misses, its _return_gaps are searched up to a
+    quarter of its rank, or the rest of the budget if less: near a
+    rational alpha a return time can run far past the mean gap, and the
+    search is cut short, leaving the scan linear, as it is when the first
+    base depends on the anchor.  From then on the scan jumps from each hit
+    of the first base to its next, the first of k + g for g in the gaps
+    that hits: the k between are misses of that base, so the hit it
+    returns is the linear scan's, after about 3 * budget * l reads instead
+    of budget + 1.  A jump that lands on a miss of the first base
+    contradicts the theorem and raises RuntimeError.
     """
-    others = [i for i in range(len(bases)) if i != anchor]
+    dependent = {i + j - anchor for i, j, _ in pairwise_report(bases).dependent_pairs
+                 if anchor in (i, j)}
+    rank = {i: (2 * target[i] + 1) * (bases[i] ** 16).bit_length()
+            for i in range(len(bases)) if i != anchor}
+    others = sorted(rank, key=lambda i: (i in dependent, -rank[i]))
     cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
     wanted = list(enumerate(target[i] for i in others))
-    k, gaps, jumps = 0, (1,), None
+    first, k, gaps = others[0], 0, None
     while k <= budget:
         for i, j in wanted:
             if cursor.digit(i, k) != j:
                 break
         else:
             return target[anchor] * bases[anchor] ** k, k
-        if i == wanted[0][0]:  # the first base read misses
-            if len(gaps) > 1:
-                raise RuntimeError(f"base {bases[others[i]]} misses at k = {k}, one of the "
+        if i == 0:  # the first base misses
+            if gaps is not None and len(gaps) > 1:
+                raise RuntimeError(f"base {bases[first]} misses at k = {k}, one of the "
                                    f"return times {gaps} after one of its hits")
-        elif jumps is None:  # it hits and base i misses: pick the skip base, once
-            skip, jumps = _skip_base(bases, target, anchor, others, budget - k)
-            wanted.sort(key=lambda w: w[0] != skip)
+            k += 1
             continue
-        else:
-            gaps = jumps
-        # the next k is k + 1, or the first return of the skip base that hits;
-        # the last return is taken unread, as the skip base is read first at k
+        if gaps is None:  # it hits and base i misses: find its return times, once
+            gaps = (1,) if first in dependent else _return_gaps(
+                bases[anchor], bases[first], target[first], min(budget - k, rank[first] // 4))
+        # the next k is the first return of the first base that hits; the
+        # last return is taken unread, as that base is read first at k
         g = gaps[-1]
-        skip, j = wanted[0]
         for gap in gaps[:-1]:
-            if k + gap > budget or cursor.digit(skip, k + gap) == j:
+            if k + gap > budget or cursor.digit(0, k + gap) == target[first]:
                 g = gap
                 break
         k += g
@@ -303,9 +287,10 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
 
     A budget above ``budget_cap`` is refused before any work: the scan reads
     up to budget + 1 candidates per anchor (on three or more bases, about
-    3 * budget * log_b(1 + 1/j) once it jumps between the hits of a base b
-    with target digit j), and the x it returns (like the exact mantissa of
-    a rare fallback) has up to budget * log2(b) bits.  Stage 1
+    3 * budget * log_b(1 + 1/j) once it jumps between the hits of the
+    first base it reads, the rarest b independent of the anchor, with
+    target digit j), and the x it returns (like the exact mantissa of a
+    rare fallback) has up to budget * log2(b) bits.  Stage 1
     rejects targets excluded by any dependent pair of the bases (provable,
     budget-independent).  Stage 2 runs the anchored scan from
     query.anchor; stage 3 retries the remaining anchors.  Among anchors

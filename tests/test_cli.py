@@ -434,6 +434,21 @@ class TestUsageAndDeterminism:
             main([])
         assert exc.value.code == 2
 
+    def test_caller_keeps_its_int_str_limit(self, capsys):
+        # main lifts the int->str guard for its own call only, and gives the
+        # caller its limit back after a normal return and after SystemExit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(capsys, "digit", "--base", "10", "--x", "1" + "0" * 5000) == (0, "1\n", "")
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_bad_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["coverage", "--bases", "3,10", "--samples", "5", "--sampler", "x"])

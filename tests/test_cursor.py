@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jointdigits.digits
@@ -27,6 +27,7 @@ from jointdigits import (
     leading_digit,
     orbit_sample,
 )
+from jointdigits.dependence import pairwise_report
 from jointdigits.digits import _MantissaCursor
 from jointdigits.witness import _return_gaps, _scan_anchor
 
@@ -93,7 +94,8 @@ def exact_geometric_counts(bases, n_samples, x0, ratio):
 
 # powers of 2, 3, 5 and 6 next to random bases, so that dependent pairs
 # (and the targets they exclude) come up often
-POWERS = [4, 8, 16, 32, 9, 27, 81, 25, 125, 36, 216]
+POWER_GROUPS = [(4, 8, 16, 32), (9, 27, 81), (25, 125), (36, 216)]
+POWERS = [b for group in POWER_GROUPS for b in group]
 _base = st.one_of(st.integers(3, 40), st.sampled_from(POWERS))
 
 
@@ -149,6 +151,39 @@ def long_scan_queries(draw):
     return bases, target, draw(st.integers(0, len(bases) - 1)), budget
 
 
+@st.composite
+def dependent_pair_queries(draw):
+    # one dependent pair of powers among independent bases: the scan reads
+    # the independent bases first, whichever the anchor is
+    pair = draw(st.sampled_from(POWER_GROUPS).flatmap(st.permutations))[:2]
+    extra = draw(st.lists(st.integers(3, 40), min_size=1, max_size=2, unique=True))
+    bases = tuple(draw(st.permutations(pair + extra)))
+    assume(len(bases) == len(set(bases)) and len(pairwise_report(bases).dependent_pairs) == 1)
+    target = tuple(draw(st.integers(1, b - 1) | st.sampled_from((b - 2, b - 1)))
+                   for b in bases)
+    budget = draw(st.integers(1, 3000) | st.integers(3000, 30_000))
+    return bases, target, draw(st.integers(0, len(bases) - 1)), budget
+
+
+@pytest.fixture
+def cursor_work(monkeypatch):
+    """Counts of the cursor's digit reads and exact rebuilds while a test runs."""
+    work = Counter()
+    digit, rebuild = _MantissaCursor.digit, _MantissaCursor._rebuild
+
+    def counted_digit(self, i, n):
+        work["reads"] += 1
+        return digit(self, i, n)
+
+    def counted_rebuild(self, i, n):
+        work["rebuilds"] += 1
+        return rebuild(self, i, n)
+
+    monkeypatch.setattr(_MantissaCursor, "digit", counted_digit)
+    monkeypatch.setattr(_MantissaCursor, "_rebuild", counted_rebuild)
+    return work
+
+
 def exact_hits(anchor_base, b, j, x0, n):
     """The k < n at which x0 * anchor_base**k has leading digit j in b."""
     return [k for k in range(n) if leading_digit(x0 * anchor_base**k, b) == j]
@@ -193,22 +228,29 @@ class TestReturnTimes:
         assert _return_gaps(7, 17, 16, 20) == (1,)
         assert _return_gaps(7, 17, 16, 10**4) == (16, 67, 83)
 
-    def test_jumps_read_a_fraction_of_the_budget(self, monkeypatch):
+    @given(query=dependent_pair_queries())
+    @settings(max_examples=25, deadline=None)
+    def test_dependent_pair_matches_exact_scan(self, query):
+        assert _scan_anchor(*query) == exact_scan_anchor(*query)
+
+    def test_jumps_read_a_fraction_of_the_budget(self, cursor_work):
         # exhausted queries of the benchmark's hard class: the scan and the
         # return-time searches together read at most a fifth of the budget
-        reads = []
-        digit = _MantissaCursor.digit
-
-        def counted(self, i, n):
-            reads.append(n)
-            return digit(self, i, n)
-
-        monkeypatch.setattr(_MantissaCursor, "digit", counted)
         for query in [((7, 11, 13, 17), (6, 10, 12, 16), 0, 30_000),
                       ((5, 7, 11, 13), (4, 6, 10, 12), 1, 30_000)]:
-            reads.clear()
+            cursor_work.clear()
             assert _scan_anchor(*query) is None
-            assert 5 * len(reads) <= query[-1] + 1
+            assert 5 * cursor_work["reads"] <= query[-1] + 1
+
+    def test_bases_that_share_the_anchor_root_are_read_last(self, cursor_work):
+        # 27 shares the root 3 with the anchor 9, so its digit along the
+        # orbit is periodic and its bounds often straddle a digit edge: read
+        # first, it would be read and rebuilt at nearly every k.  Read after
+        # the independent 10, it is read only at 10's hits
+        query = (9, 27, 10), (4, 14, 5), 0, 27_000
+        assert _scan_anchor(*query) is None
+        assert 3 * cursor_work["reads"] <= query[-1] + 1
+        assert cursor_work["rebuilds"] < query[-1] // 20
 
 
 class StepwiseCursor(_MantissaCursor):
