@@ -32,6 +32,7 @@ from . import __version__
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_SCAN_CAP,
+    _format_decimal,
     _parse_terms,
     _split,
     check_base,
@@ -263,7 +264,7 @@ def _cmd_witness(args) -> int:
         _emit_json(result.to_json_dict())
         return 0
     if result.outcome == "found":
-        print(f"found x={result.x} (anchor {result.anchor_index}, k={result.k})")
+        print(f"found x={_format_decimal(result.x)} (anchor {result.anchor_index}, k={result.k})")
     elif result.outcome == "not_attainable":
         i, j = result.obstruction
         print(
@@ -315,8 +316,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # witnesses can run to thousands of digits: lift the int->str guard for
-    # this call only, and give the caller its limit back, on SystemExit too
+    # --base and --x may run past the int<->str guard's 4300 digits, and the
+    # digit JSON echoes the base: lift the guard for this call only, and give
+    # the caller its limit back, on SystemExit too (a witness x needs no lift)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is None:
         return _run(argv)

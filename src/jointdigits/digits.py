@@ -156,6 +156,29 @@ def _parse_decimal(digits: str, powers: dict[int, int]) -> int:
     return _parse_decimal(digits[:-k], powers) * power + _parse_decimal(digits[-k:], powers)
 
 
+def _format_decimal(n: int) -> str:
+    """str(n) for an int n >= 0, calling str() only on parts of at most _PARSE_CUTOFF digits.
+
+    The inverse of _parse_decimal: n has at most d = bit_length(n) * 1234 // 4096 + 1
+    digits (1234 / 4096 > log10(2)); past the cutoff it is printed as divmod(n, 10**k),
+    k the largest power of two at most d / 2, the low part padded to k digits.  So
+    no part meets the default sys.get_int_max_str_digits(); like str(), it is quadratic
+    where division is schoolbook (CPython 3.11).
+    """
+    powers: dict[int, int] = {}
+
+    def fmt(n: int) -> str:
+        d = (n.bit_length() * 1234 >> 12) + 1
+        if d <= _PARSE_CUTOFF:
+            return str(n)
+        k = 1 << (d // 2).bit_length() - 1
+        power = powers.get(k) or powers.setdefault(k, 10**k)
+        high, low = divmod(n, power)
+        return fmt(high) + fmt(low).zfill(k)
+
+    return fmt(n)
+
+
 def _split(p: int, q: int, b: int) -> tuple[int, int, int]:
     """(k, n, d) with b**k <= p/q < b**(k+1) and n/d = (p/q) / b**k in [1, b), unreduced.
 

@@ -26,6 +26,7 @@ certificate: those are provably not attainable at any budget.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import lcm
 from operator import index
 
 from .dependence import DependenceReport, pair_dependence, pairwise_report
@@ -33,6 +34,7 @@ from .digits import (
     DEFAULT_SCAN_CAP,
     _MantissaCursor,
     _check_count,
+    _format_decimal,
     check_bases,
     check_digit,
     digit_runs,
@@ -120,7 +122,7 @@ class WitnessResult(_Record):
         }
         if self.outcome == FOUND:
             d.update(
-                x=str(self.x),
+                x=_format_decimal(self.x),
                 anchor=self.anchor_index,
                 k=self.k,
                 verified=verify_witness(self.x, self.bases, self.target),
@@ -138,20 +140,23 @@ class WitnessResult(_Record):
     def from_json_dict(cls, d: dict) -> "WitnessResult":
         """Rebuild a result from its bases and target, checking it against them.
 
-        A found x must be target[anchor] * bases[anchor]**k and a witness, k
-        bounded by the bit length of x before the power is taken (``verified``
-        is recomputed, so it cannot vouch for x); an obstruction must be a
-        dependent pair whose recomputed verdict excludes the target.
+        A found x is rebuilt as target[anchor] * bases[anchor]**k, k bounded
+        by the length of the payload's x before the power is taken, and must
+        be a witness (``verified`` is recomputed, so it cannot vouch for x);
+        the payload's x must then be its canonical text.  An obstruction must
+        be a dependent pair whose recomputed verdict excludes the target.
         """
         q = WitnessQuery(bases=d["bases"], target=d["target"])
         common = dict(outcome=d["outcome"], bases=q.bases, target=q.target)
         if d["outcome"] == FOUND:
-            # str() first: int() of a JSON Infinity would raise OverflowError
-            x, anchor, k = int(str(d["x"])), index(d["anchor"]), index(d["k"])
-            if not (anchor in range(len(q.bases)) and k in range(x.bit_length())
-                    and x == q.target[anchor] * q.bases[anchor] ** k
-                    and verify_witness(x, q.bases, q.target)):
-                raise ValueError(f"x = {x} is not the anchored witness the payload claims")
+            anchor, k = index(d["anchor"]), index(d["k"])
+            # 2**(k * (bit_length(b) - 1)) <= b**k <= x < 10**len(x) < 2**(4 * len(x))
+            if not (anchor in range(len(q.bases))
+                    and 0 <= k * (q.bases[anchor].bit_length() - 1) < 4 * len(d["x"])):
+                raise ValueError(f"anchor {anchor} and k = {k} cannot give the payload's x")
+            x = q.target[anchor] * q.bases[anchor] ** k
+            if not verify_witness(x, q.bases, q.target):
+                raise ValueError(f"the x of anchor {anchor} and k = {k} is not a witness")
             return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
             i, j = map(index, d["obstruction"])
@@ -246,13 +251,20 @@ def _scan_anchor(
     that hits: the k between are misses of that base, so the hit it
     returns is the linear scan's, after about 3 * budget * l reads instead
     of budget + 1.  A jump that lands on a miss of the first base
-    contradicts the theorem and raises RuntimeError.
+    contradicts the theorem and raises RuntimeError.  When every other
+    base shares the anchor's root, the candidates' digits repeat with
+    period L, the lcm of those bases' periods, and the scan stops at
+    k = L - 1.
     """
-    dependent = {i + j - anchor for i, j, _ in pairwise_report(bases).dependent_pairs
-                 if anchor in (i, j)}
+    # base i = a**e_i and the anchor a**e share a root: x_(k+e_i) = x_k * b_i**e
+    # has the digit of x_k in base i, so that digit has period e_i
+    periods = {i + j - anchor: dep.e2 if i == anchor else dep.e1
+               for i, j, dep in pairwise_report(bases).dependent_pairs if anchor in (i, j)}
+    if len(periods) == len(bases) - 1:
+        budget = min(budget, lcm(*periods.values()) - 1)
     rank = {i: (2 * target[i] + 1) * (bases[i] ** 16).bit_length()
             for i in range(len(bases)) if i != anchor}
-    others = sorted(rank, key=lambda i: (i in dependent, -rank[i]))
+    others = sorted(rank, key=lambda i: (i in periods, -rank[i]))
     cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
     wanted = list(enumerate(target[i] for i in others))
     first, k, gaps = others[0], 0, None
@@ -269,7 +281,7 @@ def _scan_anchor(
             k += 1
             continue
         if gaps is None:  # it hits and base i misses: find its return times, once
-            gaps = (1,) if first in dependent else _return_gaps(
+            gaps = (1,) if first in periods else _return_gaps(
                 bases[anchor], bases[first], target[first], min(budget - k, rank[first] // 4))
         # the next k is the first return of the first base that hits; the
         # last return is taken unread, as that base is read first at k

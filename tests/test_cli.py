@@ -181,6 +181,10 @@ class TestTable:
         code, out, err = run(capsys, "table", "--bases", "3,10")
         assert code == 1 and out == "" and "independent" in err
 
+    def test_needs_two_bases(self, capsys):
+        code, out, err = run(capsys, "table", "--bases", "4,8,16")
+        assert (code, out) == (1, "") and "two bases" in err
+
     def test_enum_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("JOINTDIGITS_ENUM_CAP", "50")
         code, _, err = run(capsys, "table", "--bases", "4,8")
@@ -328,6 +332,12 @@ class TestWitness:
     def test_invalid_target_digit(self, capsys):
         code, _, err = run(capsys, "witness", "--bases", "3,10", "--target", "3,1")
         assert code == 1 and "digit" in err
+
+    @pytest.mark.parametrize("bases, target, flag", [("3,ten", "2,9", "bases"),
+                                                     ("3,10", "2,nine", "target")])
+    def test_non_integer_lists(self, capsys, bases, target, flag):
+        code, out, err = run(capsys, "witness", "--bases", bases, "--target", target)
+        assert (code, out) == (1, "") and f"{flag} must be comma-separated integers" in err
 
     def test_budget_above_default_cap_refused_at_once(self, capsys):
         start = time.perf_counter()

@@ -165,6 +165,18 @@ def dependent_pair_queries(draw):
     return bases, target, draw(st.integers(0, len(bases) - 1)), budget
 
 
+@st.composite
+def one_root_queries(draw):
+    # two or more powers of one root and nothing else: every candidate
+    # digit is periodic in k, so the scan stops at the period
+    group = draw(st.sampled_from(POWER_GROUPS).flatmap(st.permutations))
+    bases = tuple(group[:draw(st.integers(2, len(group)))])
+    target = tuple(draw(st.integers(1, b - 1) | st.sampled_from((b - 2, b - 1)))
+                   for b in bases)
+    budget = draw(st.integers(1, 3000) | st.integers(3000, 30_000))
+    return bases, target, draw(st.integers(0, len(bases) - 1)), budget
+
+
 @pytest.fixture
 def cursor_work(monkeypatch):
     """Counts of the cursor's digit reads and exact rebuilds while a test runs."""
@@ -232,6 +244,18 @@ class TestReturnTimes:
     @settings(max_examples=25, deadline=None)
     def test_dependent_pair_matches_exact_scan(self, query):
         assert _scan_anchor(*query) == exact_scan_anchor(*query)
+
+    @given(query=one_root_queries())
+    @settings(max_examples=25, deadline=None)
+    def test_one_root_matches_exact_scan(self, query):
+        assert _scan_anchor(*query) == exact_scan_anchor(*query)
+
+    @pytest.mark.parametrize("bases, target, period", [((9, 27), (4, 14), 3),
+                                                       ((9, 27, 81), (4, 14, 50), 6)])
+    def test_one_root_scan_stops_at_its_period(self, cursor_work, bases, target, period):
+        # from 9 = 3**2, 27 = 3**3 recurs every 3 steps and 81 = 9**2 every 2
+        assert _scan_anchor(bases, target, 0, 27_000) is None
+        assert cursor_work["reads"] <= period + 1
 
     def test_jumps_read_a_fraction_of_the_budget(self, cursor_work):
         # exhausted queries of the benchmark's hard class: the scan and the

@@ -23,7 +23,13 @@ from jointdigits import (
     parse_positive_rational,
     refine_digit,
 )
-from jointdigits.digits import _PARSE_CUTOFF, _MantissaCursor, _parse_decimal, _split
+from jointdigits.digits import (
+    _PARSE_CUTOFF,
+    _MantissaCursor,
+    _format_decimal,
+    _parse_decimal,
+    _split,
+)
 
 
 def repeated_division_digit(x, b):
@@ -213,6 +219,8 @@ class TestDigitSet:
         assert 17 in s
         assert 3 not in s
         assert "17" not in s
+        for value in (17.0, True, 0, -17):
+            assert not digit_set_contains(value, 8, 2, 2)
 
     def test_contains_agrees_with_members(self):
         for b, e in [(4, 3), (9, 2)]:
@@ -231,6 +239,8 @@ class TestDigitSet:
             digit_set(4, 3, 4)
         with pytest.raises(ValueError):
             digit_set(4, 0, 1)
+        with pytest.raises(TypeError):
+            digit_set_ranges(4, 2.0, 1)
 
     def test_is_dataclass_value(self):
         assert digit_set(4, 2, 3) == DigitSet(
@@ -259,6 +269,8 @@ class TestRefineDigit:
             refine_digit(0, 4, 3)
         with pytest.raises(ValueError):
             refine_digit(64, 4, 3)
+        with pytest.raises(TypeError):
+            refine_digit(25.0, 4, 3)
         # the range is read off the split of D, at and far past b**e
         assert refine_digit(3**20 - 1, 3, 20) == 2
         for D in (3**20, 10**10**4):
@@ -370,6 +382,26 @@ class TestParsing:
             assert _parse_decimal(digits, {}) == int(digits)
             if int(digits):
                 assert parse_positive_rational(f"{digits}/7") == Fraction(int(digits), 7)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @given(
+        length=st.integers(1, 40) | st.integers(_PARSE_CUTOFF - 5, _PARSE_CUTOFF + 5)
+        | st.integers(4295, 4305) | st.integers(5995, 6005) | st.integers(1, 30_000),
+        shape=st.sampled_from(["random", "10**k", "10**k - 1", "0"]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_format_matches_str(self, length, shape, seed):
+        # 10**k and 10**k - 1 put runs of zeros and nines across every split
+        n = {"random": random.Random(seed).randrange(10 ** (length - 1), 10**length),
+             "10**k": 10**length, "10**k - 1": 10**length - 1, "0": 0}[shape]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(n)
+            sys.set_int_max_str_digits(4300)  # the default guard, which str() meets
+            assert _format_decimal(n) == expected
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -328,6 +328,9 @@ class TestJointTable:
         # the half-open convention puts 32 with (2, 4), not (1, 3)
         assert table.cell(31) == (1, 3)
         assert table.cell(32) == (2, 4)
+        for D in (0, 64):
+            with pytest.raises(ValueError, match="1..63"):
+                table.cell(D)
 
     def test_full_table_against_digit_set_oracle(self):
         dep = pair_dependence(4, 8)

@@ -82,7 +82,10 @@ def valid_payloads() -> dict[str, list]:
         "WitnessResult": [jd.find_witness(jd.WitnessQuery(bases, target, budget))
                           for bases, target, budget in [((3, 10), (2, 9), 5000),
                                                         ((4, 8, 10), (2, 3, 1), 5000),
-                                                        ((3, 10, 7), (2, 9, 5), 1)]],
+                                                        ((3, 10, 7), (2, 9, 5), 1)]]
+        # x = 2 * 3**13585, 6,482 digits: the reader rebuilds it from (anchor, k)
+        + [jd.find_witness(jd.WitnessQuery((3, 10, 17, 19), (2, 9, 16, 18), 30_000,
+                                           retry_other_anchors=False))],
         "CoverageReport": [jd.orbit_sample((3, 5), 40),
                            jd.orbit_sample((3, 5), 40, "low-discrepancy", precision=16)],
     }

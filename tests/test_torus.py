@@ -405,6 +405,10 @@ class TestOrbitSample:
         assert len(devs) == 18
         assert all(0 <= v <= 1 for v in devs.values())
         assert rep.max_deviation() == max(devs.values())
+        # with every sample ambiguous, no frequency divides by zero
+        unclassified = CoverageReport(**{**vars(rep), "hit_counts": {},
+                                         "boundary_ambiguous": rep.samples})
+        assert unclassified.frequency((1, 1)) == 0.0
 
 
 # every torus entry point as the first call of a fresh interpreter: the

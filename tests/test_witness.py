@@ -1,5 +1,6 @@
 """Witness-search tests: anchored scans, certificates, observed images."""
 
+import json
 import os
 import random
 import subprocess
@@ -285,6 +286,29 @@ class TestWitnessResultJson:
                     negative_anchor, *other_x, unverified, owned_up):
             with pytest.raises(ValueError):
                 WitnessResult.from_json_dict(bad)
+
+    def test_big_witness_round_trips_under_the_default_guard(self):
+        # x = 2 * 3**13585 has 6,482 digits: past the 4300 that str() and int()
+        # take by default, so x is printed by halves and read back from (anchor, k)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            r = find_witness(WitnessQuery((3, 10, 17, 19), (2, 9, 16, 18), budget=30_000,
+                                          retry_other_anchors=False))
+            assert (r.anchor_index, r.k) == (0, 13585)
+            payload = json.loads(json.dumps(r.to_json_dict()))
+            assert len(payload["x"]) == 6482
+            assert WitnessResult.from_json_dict(payload) == r
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_found_k_is_bounded_by_the_anchor_base_too(self):
+        # b**k <= x < 2**(4 * len(x)) bounds k * (bit_length(b) - 1): from a
+        # 997-bit base, k = 2999 would build about 900,000 digits for 1000
+        payload = dict(find_witness(WitnessQuery(bases=(3, 10), target=(2, 9))).to_json_dict(),
+                       bases=[3, 10**300 + 1], x="1" * 1000, anchor=1, k=2999)
+        with pytest.raises(ValueError, match="cannot give the payload's x"):
+            WitnessResult.from_json_dict(payload)
 
     def test_not_attainable_rejects_bad_certificates(self):
         payload = find_witness(WitnessQuery(bases=(4, 8, 10), target=(2, 3, 1))).to_json_dict()
