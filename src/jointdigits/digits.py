@@ -25,7 +25,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import _Record, _check_cap, _check_power
 
@@ -157,19 +157,22 @@ def _parse_decimal(digits: str, powers: dict[int, int]) -> int:
 
 
 def _format_decimal(n: int) -> str:
-    """str(n) for an int n >= 0, calling str() only on parts of at most _PARSE_CUTOFF digits.
+    """str(n) for an int n >= 0, calling str() only on parts of at most
+    min(_PARSE_CUTOFF, sys.get_int_max_str_digits()) digits (a limit of 0 is none).
 
     The inverse of _parse_decimal: n has at most d = bit_length(n) * 1234 // 4096 + 1
     digits (1234 / 4096 > log10(2)); past the cutoff it is printed as divmod(n, 10**k),
     k the largest power of two at most d / 2, the low part padded to k digits.  So
-    no part meets the default sys.get_int_max_str_digits(); like str(), it is quadratic
-    where division is schoolbook (CPython 3.11).
+    no part meets the process's int-to-string limit, however low it is set; like
+    str(), it is quadratic where division is schoolbook (CPython 3.11).
     """
     powers: dict[int, int] = {}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cutoff = min(_PARSE_CUTOFF, limit or _PARSE_CUTOFF)
 
     def fmt(n: int) -> str:
         d = (n.bit_length() * 1234 >> 12) + 1
-        if d <= _PARSE_CUTOFF:
+        if d <= cutoff:
             return str(n)
         k = 1 << (d // 2).bit_length() - 1
         power = powers.get(k) or powers.setdefault(k, 10**k)
@@ -499,9 +502,10 @@ def digit_runs(
 
 
 def iter_digit_tuples(bases: Iterable[int], x_max: int) -> Iterator[tuple[int, ...]]:
-    """Yield leading_digit_tuple(x, bases) for x = 1, 2, ..., x_max.
+    """Iterate leading_digit_tuple(x, bases) for x = 1, 2, ..., x_max.
 
-    Expands digit_runs, so only the yields grow with x_max.
+    Expands digit_runs through chain and repeat, so the steps that grow
+    with x_max run in C rather than in a Python generator.
     """
-    for start, stop, digits in digit_runs(bases, x_max):
-        yield from repeat(digits, stop - start)
+    runs = digit_runs(bases, x_max)
+    return chain.from_iterable(repeat(digits, stop - start) for start, stop, digits in runs)

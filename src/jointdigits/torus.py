@@ -15,13 +15,20 @@ Density (every rectangle eventually hit) is proven for two independent
 bases and conditional on Schanuel's conjecture for three or more pairwise
 independent ones; a dependent pair such as (4, 8) never hits the
 rectangles of its excluded digit pairs.  The frequency-vs-measure
-comparison here is a diagnostic only.  Enclosures of 1/ln b and log_b j
-are built once per base (mpmath) with outward-rounded integer bounds;
-points are classified on those integers, and one that cannot be certified
-on one side of a rectangle boundary is counted as boundary-ambiguous,
-never silently classified.  Sample points that are exact rationals are
-classified by the exact integer core instead, so those counts carry no
-rounding at all.
+comparison here is a diagnostic only.
+
+The enclosures are mpmath's interval arithmetic at the working precision
+P, but they are computed on integers: ln b and ln j are bounded by an
+atanh series at 2**(P + 64) with its truncation error counted, rounded
+outward to P-bit floats exactly as mpmath rounds its logs, and every
+later +, -, *, / redoes mpmath's outward rounding, so each interval is
+mpmath's own, endpoint for endpoint, and so is every printed measure.
+Points are classified on the integer bounds of 1/ln b and log_b j at
+scale 2**P, and one that cannot be certified on one side of a rectangle
+boundary is counted as boundary-ambiguous, never silently classified.
+Sample points that are exact rationals are classified by the exact
+integer core instead, so those counts carry no rounding at all.  mpmath
+itself builds the interval values of the public API, on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import isqrt, ldexp, log, prod
 from operator import index
 
 from .digits import (
@@ -65,8 +72,9 @@ __all__ = [
 
 DEFAULT_PRECISION = 128
 # enclosures cost more than linearly in their precision: a 3-base, 600-sample
-# low-discrepancy coverage takes 0.12 s at 4096 bits (32 times the default)
-# and 1.0 s at 16,384 bits on a shared 2-core machine (CPython 3.11)
+# low-discrepancy coverage, tables included, takes 0.034 s at 4096 bits (32
+# times the default) and 0.31 s at 16,384 bits on a shared 2-core machine
+# (CPython 3.11, medians of 5 fresh processes)
 MAX_PRECISION = 4096
 DEFAULT_TUPLE_CAP = 1 << 16
 
@@ -80,8 +88,10 @@ def _check_precision(precision) -> None:
     _check_cap("precision", precision, MAX_PRECISION)
 
 
-# mpmath is imported at the first enclosure, not with the package: the
-# exact integer core and the CLI subcommands other than coverage never need it
+# mpmath is imported only where an mpmath interval is asked for (the public
+# interval API, and the rare log endpoint of _ln_floats that the integer
+# enclosure cannot round); the integer core, the CLI subcommands and a
+# default coverage query never import it
 @lru_cache(maxsize=None)
 def _context(precision: int):
     """Interval context at the given precision (shared per precision)."""
@@ -109,17 +119,191 @@ def _fixed(x, precision: int) -> tuple[int, int]:
     return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
 
+# Binary floats as pairs (man, exp), the value man * 2**exp >= 0.  mpmath's
+# interval arithmetic rounds every +, -, *, / outward to a float of the
+# working precision, correctly; these functions make the same roundings on
+# integers, so the intervals below are mpmath's own, endpoint for endpoint.
+
+def _round(num: int, den: int, prec: int, mode: int) -> tuple[int, int]:
+    """num/den >= 0 as a prec-bit float: rounded down for mode < 0, up for
+    mode > 0, and to nearest, ties to even, for mode 0."""
+    if not num:
+        return 0, 0
+    if den == 1:
+        e = num.bit_length() - prec
+        if e <= 0:
+            return num, 0
+        man, rem, d = num >> e, num & ((1 << e) - 1), 1 << e
+    else:
+        e = num.bit_length() - den.bit_length() - prec
+        n, d = (num, den << e) if e >= 0 else (num << -e, den)
+        if n >= d << prec:  # n/d lies in (2**(prec-1), 2**(prec+1))
+            e += 1
+            d <<= 1
+        man, rem = divmod(n, d)
+    if rem and (mode > 0 or mode == 0 and (2 * rem > d or 2 * rem == d and man & 1)):
+        man += 1
+        if man >> prec:
+            man >>= 1
+            e += 1
+    return man, e
+
+
+def _mul(x, y, prec: int, mode: int) -> tuple[int, int]:
+    man, e = _round(x[0] * y[0], 1, prec, mode)
+    return man, e + x[1] + y[1]
+
+
+def _div(x, y, prec: int, mode: int) -> tuple[int, int]:
+    man, e = _round(x[0], y[0], prec, mode)
+    return man, e + x[1] - y[1]
+
+
+def _add(x, y, prec: int, mode: int, sign: int = 1) -> tuple[int, int]:
+    """x + y, or x - y >= 0 for sign -1, rounded."""
+    e = min(x[1], y[1])
+    man, f = _round((x[0] << x[1] - e) + sign * (y[0] << y[1] - e), 1, prec, mode)
+    return man, f + e
+
+
+def _below(x, y) -> bool:
+    """x < y."""
+    e = min(x[1], y[1])
+    return x[0] << x[1] - e < y[0] << y[1] - e
+
+
+def _scaled(x, precision: int, mode: int) -> int:
+    """floor (mode < 0) or ceil of 2**precision * x."""
+    man, s = x[0], x[1] + precision
+    return man << s if s >= 0 else -(-man >> -s) if mode > 0 else man >> -s
+
+
+def _atanh_inv(q: int, bits: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) of 2**bits * atanh(1/q), for q >= 3.
+
+    atanh(1/q) is the sum of 1/((2k+1) q**(2k+1)).  Term k is summed as
+    floor(floor(2**bits / q**(2k+1)) / (2k+1)), the floor of its exact
+    value, so each of the K terms taken is low by less than 1.  The sum
+    stops at the first k with q**(2k+1) > 2**bits; the terms left out are
+    each at most 1/q**2 of the one before, so they sum to less than 9/8.
+    """
+    p, q2 = (1 << bits) // q, q * q
+    s = k = 0
+    while p:
+        s += p // (2 * k + 1)
+        p //= q2
+        k += 1
+    return s, s + k + 2
+
+
+# room for every n up to the largest base a codomain within DEFAULT_TUPLE_CAP
+# can hold, so the edges of one such base are built with no log twice
+@lru_cache(maxsize=DEFAULT_TUPLE_CAP + 1)
+def _ln_fixed(n: int, bits: int) -> tuple[int, int]:
+    """Integer bounds (lo, hi) of 2**bits * ln n, for n >= 1.
+
+    ln 2 = 2 atanh(1/3); a composite n adds the logs of two factors, and a
+    prime p >= 3 is ln(p - 1) + 2 atanh(1/(2p - 1)).  The bounds add.
+    """
+    if n == 1:
+        return 0, 0
+    f = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), None)
+    if f is not None:
+        (lo1, hi1), (lo2, hi2) = _ln_fixed(f, bits), _ln_fixed(n // f, bits)
+        return lo1 + lo2, hi1 + hi2
+    lo1, hi1 = _ln_fixed(n - 1, bits)
+    lo2, hi2 = _atanh_inv(2 * n - 1, bits)
+    return lo1 + 2 * lo2, hi1 + 2 * hi2
+
+
+# bits of the series past the working precision
+_GUARD = 64
+
+
+def _ln_floats(n: int, precision: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The endpoints of mpmath's ctx.log(ctx.mpf(n)) at the given precision.
+
+    mpmath's mpf_log rounds (down for the low end, up for the high end) a
+    fixed-point value of at least precision + 20 bits that lies within a
+    few units of its last place of ln n.  Where every value within
+    2**-(precision + 10) of the integer enclosure, 1024 such units, rounds
+    the same way in both directions, those roundings are mpmath's
+    endpoints.  Elsewhere (8 of the n up to 65,537 at 128 bits), and for
+    an n that the precision cannot hold, mpmath computes them.
+    """
+    if n == 1:
+        return (0, 0), (0, 0)
+    if n.bit_length() <= precision:
+        bits = precision + _GUARD
+        lo, hi = _ln_fixed(n, bits)
+        slack = 1 << bits - precision - 10
+        ends = [_round(v, 1 << bits, precision, mode)
+                for mode in (-1, 1) for v in (lo - slack, hi + slack)]
+        if ends[0] == ends[1] and ends[2] == ends[3]:
+            return ends[0], ends[2]
+    ctx = _context(precision)
+    (_, m_lo, e_lo, _), (_, m_hi, e_hi, _) = ctx.log(ctx.mpf(n))._mpi_
+    return (m_lo, e_lo), (m_hi, e_hi)
+
+
+_ONE = (1, 0)
+
+
 class _LogTable:
-    """Enclosures of 1/ln b and of the edges log_b j, j = 1..b, at precision
-    P, each with outward-rounded integer bounds at scale 2**P.  The O(b)
-    edges are built on first use."""
+    """Log tables of one base b at precision P.
+
+    Each interval is the one mpmath's interval arithmetic gives at P bits,
+    held as its endpoint floats (lo, hi) and computed on integers: ln b,
+    1/ln b with integer bounds at scale 2**P, the edges log_b j for
+    j = 1..b and the coordinate measures log_b(1 + 1/j) for j = 1..b-1.
+    The O(b) tables are built on first use.  ``log_b``, ``inv``, ``edge``,
+    ``edges`` and ``coords`` are the same intervals as mpmath values, for
+    the public interval API.
+    """
 
     def __init__(self, b: int, precision: int):
+        _check_precision(precision)
         self.b, self.precision = b, precision
-        ctx = _context(precision)
-        self.log_b = ctx.log(ctx.mpf(b))
-        self.inv = ctx.one / self.log_b
-        self.inv_fixed = _fixed(self.inv, precision)
+        self.ln_b = lo, hi = _ln_floats(b, precision)
+        self.inv_fixed = (_scaled(_div(_ONE, hi, precision, -1), precision, -1),
+                          _scaled(_div(_ONE, lo, precision, 1), precision, 1))
+
+    @cached_property
+    def edge_floats(self) -> tuple[tuple, ...]:
+        # all b edges are read only for bisection and measures, so their
+        # number keeps to the bound of a one-base codomain
+        _check_cap("digit count of one base", self.b - 1, DEFAULT_TUPLE_CAP)
+        (lb_lo, lb_hi), p = self.ln_b, self.precision
+        return tuple((_div(lo, lb_hi, p, -1), _div(hi, lb_lo, p, 1))
+                     for lo, hi in (_ln_floats(j, p) for j in range(1, self.b + 1)))
+
+    @cached_property
+    def edge_fixed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        p = self.precision
+        return (tuple(_scaled(lo, p, -1) for lo, _ in self.edge_floats),
+                tuple(_scaled(hi, p, 1) for _, hi in self.edge_floats))
+
+    @cached_property
+    def coord_floats(self) -> tuple[tuple, ...] | None:
+        """log_b(j + 1) - log_b(j) for j = 1..b-1, or None if two edges
+        overlap, as those of a base of a few thousand do at 16 bits: an
+        interval that holds 0 takes other branches of mpmath's product.
+        Each difference is exact, as the two edges are within a factor of
+        2 of each other, but is rounded as mpmath rounds it all the same."""
+        edges, p = self.edge_floats, self.precision
+        if not all(_below(e0[1], e1[0]) for e0, e1 in zip(edges, edges[1:])):
+            return None
+        return tuple((_add(e1[0], e0[1], p, -1, -1), _add(e1[1], e0[0], p, 1, -1))
+                     for e0, e1 in zip(edges, edges[1:]))
+
+    @cached_property
+    def log_b(self):
+        ctx = _context(self.precision)
+        return ctx.log(ctx.mpf(self.b))
+
+    @cached_property
+    def inv(self):
+        return _context(self.precision).one / self.log_b
 
     def edge(self, j: int):
         """Enclosure of log_b j, for one rectangle without all b edges."""
@@ -131,11 +315,9 @@ class _LogTable:
         return tuple(map(self.edge, range(1, self.b + 1)))
 
     @cached_property
-    def edge_fixed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # all b edges at once are read only for bisection, so their number
-        # keeps to the bound of a one-base codomain
-        _check_cap("digit count of one base", self.b - 1, DEFAULT_TUPLE_CAP)
-        return tuple(zip(*(_fixed(e, self.precision) for e in self.edges)))
+    def coords(self) -> tuple:
+        edges = self.edges
+        return tuple(hi - lo for lo, hi in zip(edges, edges[1:]))
 
     def split(self, lo: int, hi: int, den: int) -> tuple[int, int, int] | None:
         """For every v in [lo/den, hi/den]: k = floor(v / ln b) and integer
@@ -152,6 +334,48 @@ class _LogTable:
 # 64 tables cover every base and precision of a query; the bound keeps a
 # process that sweeps many bases from growing without limit
 _log_table = lru_cache(maxsize=64)(_LogTable)
+
+
+def _float(x) -> float:
+    """float() of the mpf x: rounded to 53 bits, to nearest, ties to even."""
+    man, e = _round(x[0], 1, 53, 0) if x[0] >> 53 else (x[0], 0)
+    return ldexp(man, e + x[1])
+
+
+_LOG2_10 = log(10, 2)
+
+
+def _nstr(man: int, exp: int, dps: int) -> str:
+    """mpmath.nstr(x, dps) of the float x = man * 2**exp in (2**-3500, 2**3500).
+
+    This is libmpf.to_str with its defaults: the digits of x are
+    truncated past about dps + 3 places, then rounded half up to dps, and
+    x is printed in fixed point when its leading digit has an exponent in
+    (min(-(dps // 3), -5), dps), with trailing zeros stripped.  (to_str
+    scales an x outside that range by a power of ten first; no measure is.)
+    """
+    bc = man.bit_length()
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # 99...9 rounded up to 10...0
+            exponent += 1
+    digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    return digits if exponent == 0 else f"{digits}e{exponent:+d}"
 
 
 class FrequencyVector(_Record):
@@ -250,27 +474,81 @@ def _codomain(bases: tuple[int, ...], cap: int):
     return product(*(range(1, b) for b in bases))
 
 
+class _MeasureMap(Mapping):
+    """Read-only map from each digit tuple of the bases to its rectangle
+    measure, keyed in product order.
+
+    A value is an mpmath interval, built on first access.  ``bounds(tup)``
+    gives the same interval's endpoints as floats (man, exp), from the
+    integer log tables: the product of the coordinate measures, rounded
+    outward at each step as mpmath rounds it.  == and repr are those of
+    the dict it stands for, and like a dict it is unhashable.
+    """
+
+    def __init__(self, bases: tuple[int, ...], precision: int, cap: int):
+        _check_precision(precision)
+        _codomain(bases, cap)
+        self.bases, self.precision = bases, precision
+        self._tables = [_log_table(b, precision) for b in bases]
+        self._values: dict = {}
+
+    def __len__(self) -> int:
+        return prod(b - 1 for b in self.bases)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return product(*(range(1, b) for b in self.bases))
+
+    def __contains__(self, tup) -> bool:
+        return (isinstance(tup, tuple) and len(tup) == len(self.bases)
+                and all(j in range(1, b) for j, b in zip(tup, self.bases)))
+
+    def __getitem__(self, tup):
+        if tup not in self:
+            raise KeyError(tup)
+        if tup not in self._values:
+            m = _context(self.precision).one
+            for table, j in zip(self._tables, tup):
+                m = m * table.coords[j - 1]
+            self._values[tup] = m
+        return self._values[tup]
+
+    def __eq__(self, other):
+        # the values are fixed by the bases and the precision
+        if isinstance(other, _MeasureMap) and (other.bases, other.precision) == (
+                self.bases, self.precision):
+            return True
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    @cached_property
+    def exact(self) -> bool:
+        """Whether bounds() gives the values' endpoints: no two edges overlap."""
+        return all(table.coord_floats is not None for table in self._tables)
+
+    def bounds(self, tup: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Endpoint floats (lo, hi) of the measure of a tuple of the codomain,
+        where ``exact`` holds."""
+        p = self.precision
+        lo = hi = _ONE
+        for table, j in zip(self._tables, tup):
+            c_lo, c_hi = table.coord_floats[j - 1]
+            lo, hi = _mul(lo, c_lo, p, -1), _mul(hi, c_hi, p, 1)
+        return lo, hi
+
+
 def measure_map(
     bases: Iterable[int],
     precision: int = DEFAULT_PRECISION,
     cap: int = DEFAULT_TUPLE_CAP,
-) -> dict[tuple[int, ...], object]:
-    """Rectangle measure enclosure for every digit tuple of the bases."""
-    bs = check_bases(bases)
-    ctx = _context(precision)
-    tuples = _codomain(bs, cap)
-    # coordinate measures log_b(j+1) - log_b(j), computed once per base
-    coord: list[list] = []
-    for b in bs:
-        logs = _log_table(b, precision).edges
-        coord.append([logs[j] - logs[j - 1] for j in range(1, b)])
-    out = {}
-    for tup in tuples:
-        m = ctx.one
-        for i, j in enumerate(tup):
-            m = m * coord[i][j - 1]
-        out[tup] = m
-    return out
+) -> Mapping[tuple[int, ...], object]:
+    """Rectangle measure enclosure for every digit tuple of the bases.
+
+    The codomain size is checked against ``cap`` at once; each measure is
+    built when it is first read.
+    """
+    return _MeasureMap(check_bases(bases), precision, cap)
 
 
 def total_measure(
@@ -328,10 +606,14 @@ def classify_parameter(
     (1, 3)
     """
     t = Fraction(t)
+    return _classify(t.numerator, t.denominator, [_log_table(b, fv.precision) for b in fv.bases])
+
+
+def _classify(p: int, q: int, tables: list[_LogTable]) -> tuple[int, ...] | None:
+    """classify_parameter of t = p/q, q > 0, on the tables of its bases."""
     digits = []
-    for b in fv.bases:
-        table = _log_table(b, fv.precision)
-        split = table.split(t.numerator, t.numerator, t.denominator)
+    for table in tables:
+        split = table.split(p, p, q)
         if split is None:
             return None
         _, f_lo, f_hi = split
@@ -344,14 +626,15 @@ def classify_parameter(
     return tuple(digits)
 
 
-def _van_der_corput(m: int) -> Fraction:
-    """Base-2 van der Corput value of index m (bit-reversed fraction)."""
+def _van_der_corput(m: int) -> tuple[int, int]:
+    """Base-2 van der Corput value of index m (bit-reversed fraction), as
+    an unreduced (numerator, denominator)."""
     num, den = 0, 1
     while m:
         num = num * 2 + (m & 1)
         den *= 2
         m >>= 1
-    return Fraction(num, den)
+    return num, den
 
 
 class CoverageReport(_Record):
@@ -385,19 +668,33 @@ class CoverageReport(_Record):
             return 0.0
         return self.hit_counts.get(tup, 0) / classified
 
+    def _exact(self) -> bool:
+        """Whether the measures are a measure map of this precision whose
+        endpoints the integer tables give."""
+        m = self.measures
+        return isinstance(m, _MeasureMap) and m.precision == self.precision and m.exact
+
     def deviations(self) -> dict[tuple[int, ...], float]:
         """Per-tuple |empirical frequency - rectangle measure| (midpoint)."""
-        out = {}
-        for tup, m in self.measures.items():
-            lo, hi = _endpoints(m, self.precision)
-            mid = (float(lo) + float(hi)) / 2
-            out[tup] = abs(self.frequency(tup) - mid)
+        out, exact = {}, self._exact()
+        for tup in self.measures:
+            if exact:
+                lo, hi = map(_float, self.measures.bounds(tup))
+            else:
+                lo, hi = map(float, _endpoints(self.measures[tup], self.precision))
+            out[tup] = abs(self.frequency(tup) - (lo + hi) / 2)
         return out
 
     def max_deviation(self) -> float:
         return max(self.deviations().values())
 
     def _measure_str(self, tup: tuple[int, ...], digits: int = 30) -> str:
+        """mpmath.nstr of the midpoint of a tuple's measure, taken at
+        precision + 16 bits."""
+        if self._exact():
+            lo, hi = self.measures.bounds(tup)
+            man, e = _add(lo, hi, self.precision + 16, 0)
+            return _nstr(man, e - 1, digits)
         import mpmath
 
         with mpmath.mp.workprec(self.precision + 16):
@@ -512,8 +809,9 @@ def orbit_sample(
         indices = range(len(bs))
         tuples = (tuple([cursor.digit(i, m) for i in indices]) for m in range(n_samples))
     else:
-        fv = frequency_vector(bs, precision=precision)
-        tuples = (classify_parameter(window * _van_der_corput(m), fv) for m in range(n_samples))
+        tables = [_log_table(b, precision) for b in bs]
+        points = map(_van_der_corput, range(n_samples))
+        tuples = (_classify(window * num, den, tables) for num, den in points)
     counts = Counter(tuples)
     ambiguous = counts.pop(None, 0)
     return CoverageReport(

@@ -405,6 +405,20 @@ class TestParsing:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("limit", [640, 1000, 2999, 3001])
+    def test_format_keeps_under_a_lowered_limit(self, limit):
+        # 640 is the lowest limit Python allows; parts of up to 3000 digits
+        # would be refused below that
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            cases = [(n, str(n)) for n in (3**5000, 10**limit, 10**limit - 1, 7**20000)]
+            sys.set_int_max_str_digits(limit)
+            for n, expected in cases:
+                assert _format_decimal(n) == expected
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_library_keeps_the_int_digit_limit(self):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)

@@ -1,15 +1,23 @@
 """Torus-diagnostic tests: rectangles, measures, orbit sampling."""
 
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import product
+from math import prod
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from mpmath.ctx_iv import MPIntervalContext
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jointdigits
@@ -27,7 +35,20 @@ from jointdigits import (
     torus_digit_tuple,
     total_measure,
 )
-from jointdigits.torus import MAX_PRECISION, _context, _endpoints
+import jointdigits.torus as torus
+from jointdigits.cli import main
+from jointdigits.torus import (
+    _GUARD,
+    MAX_PRECISION,
+    _context,
+    _endpoints,
+    _fixed,
+    _float,
+    _ln_fixed,
+    _ln_floats,
+    _nstr,
+    _van_der_corput,
+)
 
 
 def rational_iv(x: Fraction, ctx):
@@ -449,3 +470,266 @@ def test_entry_point_first_in_fresh_interpreter(expr):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
+
+
+# --- the mpmath route, as the oracle of the integer tables --------------------
+# Log tables, measures, measure strings and deviations with every interval
+# from mpmath's interval arithmetic and every string from mpmath.nstr; the
+# integer tables must give the same bytes.
+
+class MpmathLogTable:
+    def __init__(self, b, precision):
+        self.b, self.precision = b, precision
+        ctx = _context(precision)
+        self.log_b = ctx.log(ctx.mpf(b))
+        self.inv_fixed = _fixed(ctx.one / self.log_b, precision)
+
+    @cached_property
+    def edges(self):
+        ctx = _context(self.precision)
+        return tuple(ctx.log(ctx.mpf(j)) / self.log_b for j in range(1, self.b + 1))
+
+    @cached_property
+    def edge_fixed(self):
+        return tuple(zip(*(_fixed(e, self.precision) for e in self.edges)))
+
+    split = torus._LogTable.split
+
+
+def mpmath_measure_map(bases, precision=torus.DEFAULT_PRECISION, cap=torus.DEFAULT_TUPLE_CAP):
+    bs = tuple(bases)
+    ctx = _context(precision)
+    tuples = torus._codomain(bs, cap)
+    coord = []
+    for b in bs:
+        logs = mpmath_log_table(b, precision).edges
+        coord.append([logs[j] - logs[j - 1] for j in range(1, b)])
+    out = {}
+    for tup in tuples:
+        m = ctx.one
+        for i, j in enumerate(tup):
+            m = m * coord[i][j - 1]
+        out[tup] = m
+    return out
+
+
+def mpmath_measure_str(self, tup, digits=30):
+    with mpmath.mp.workprec(self.precision + 16):
+        lo, hi = _endpoints(self.measures[tup], self.precision)
+        return mpmath.nstr((lo + hi) / 2, digits)
+
+
+def mpmath_deviations(self):
+    out = {}
+    for tup, m in self.measures.items():
+        lo, hi = _endpoints(m, self.precision)
+        out[tup] = abs(self.frequency(tup) - (float(lo) + float(hi)) / 2)
+    return out
+
+
+mpmath_log_table = lru_cache(maxsize=64)(MpmathLogTable)
+
+
+@contextlib.contextmanager
+def mpmath_route():
+    """Run the torus layer on the mpmath oracle instead of the integer tables."""
+    with mock.patch.multiple(torus, _log_table=mpmath_log_table, measure_map=mpmath_measure_map), \
+            mock.patch.multiple(torus.CoverageReport, _measure_str=mpmath_measure_str,
+                                deviations=mpmath_deviations):
+        yield
+
+
+def dyadic(x) -> Fraction:
+    return Fraction(x[0]) * Fraction(2) ** x[1]
+
+
+def mpmath_log_ends(n, precision):
+    """Endpoints of mpmath's interval ln n at the given precision, as fractions."""
+    ctx = MPIntervalContext()
+    ctx.prec = precision
+    return tuple(dyadic(end[1:3]) for end in ctx.log(ctx.mpf(n))._mpi_)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+DIFF_PRECISIONS = (16, 53, 64, 112, 113, 128, 256, 4096)
+DEPENDENT = [(3, 9), (4, 8), (9, 27), (8, 32), (4, 32), (16, 64), (5, 25)]
+CELL_BUDGET = 1500
+
+
+@st.composite
+def coverage_bases(draw):
+    """2-3 distinct bases of 3 to 400, half of them opening with a dependent
+    pair, with at most CELL_BUDGET digit tuples."""
+    bases = list(draw(st.sampled_from(DEPENDENT))) if draw(st.booleans()) else []
+    n = draw(st.integers(max(2, len(bases)), 3))
+    while len(bases) < n:
+        b = draw(st.integers(3, max(3, min(400, CELL_BUDGET // prod(c - 1 for c in bases) + 1))))
+        while b in bases:  # two steps at most: the tuple may pass the budget a little
+            b += 1
+        bases.append(b)
+    return tuple(draw(st.permutations(bases)))
+
+
+class TestIntegerTablesMatchMpmath:
+    @given(bases=coverage_bases(), precision=st.sampled_from(DIFF_PRECISIONS),
+           sampler=st.sampled_from(SAMPLERS), samples=st.integers(1, 400),
+           window=st.sampled_from((1, 64, 1000)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_output_byte_matches(self, bases, precision, sampler, samples, window):
+        argv = ["coverage", "--bases", ",".join(map(str, bases)), "--samples", str(samples),
+                "--sampler", sampler, "--precision", str(precision), "--window", str(window)]
+        for output in ("text", "json", "csv"):
+            got = run_main(argv + ["--output", output])
+            with mpmath_route():
+                want = run_main(argv + ["--output", output])
+            assert got == want
+        rep = orbit_sample(bases, samples, sampler, window=window, precision=precision)
+        with mpmath_route():
+            oracle = orbit_sample(bases, samples, sampler, window=window, precision=precision)
+            deviations = oracle.deviations()
+        assert rep.deviations() == deviations
+        assert rep.boundary_ambiguous == oracle.boundary_ambiguous
+
+    @given(bases=coverage_bases(), precision=st.sampled_from(DIFF_PRECISIONS),
+           window=st.sampled_from((1, 64, 1000)))
+    @settings(max_examples=40, deadline=None)
+    def test_classify_matches_on_van_der_corput_points(self, bases, precision, window):
+        fv = frequency_vector(bases, precision=precision)
+        points = [Fraction(window * num, den) for num, den in map(_van_der_corput, range(300))]
+        got = [classify_parameter(t, fv) for t in points]
+        with mpmath_route():
+            assert got == [classify_parameter(t, fv) for t in points]
+
+    def test_overlapping_edges_take_the_mpmath_route(self):
+        # at 16 bits the edge intervals of base 3000 overlap, so some
+        # coordinate measure holds 0 and its products are left to mpmath
+        assert not measure_map((3000, 3), precision=16).exact
+        assert measure_map((2000, 3), precision=16).exact
+        argv = ["coverage", "--bases", "3000,3", "--samples", "50", "--precision", "16"]
+        for output in ("text", "csv"):
+            got = run_main(argv + ["--output", output])
+            with mpmath_route():
+                assert got == run_main(argv + ["--output", output])
+
+    @given(n=st.integers(1, 400) | st.integers(400, 70_000),
+           precision=st.sampled_from(DIFF_PRECISIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_log_enclosures_hold_and_round_as_mpmath(self, n, precision):
+        # the integer bounds of 2**bits * ln n hold mpmath's interval of ln n
+        # at twice their bits; their roundings to the working precision are
+        # the endpoints of mpmath's interval at that precision
+        bits = precision + _GUARD
+        lo, hi = _ln_fixed(n, bits)
+        assert lo <= hi
+        wide_lo, wide_hi = mpmath_log_ends(n, 2 * bits)
+        assert lo <= wide_lo * 2**bits and wide_hi * 2**bits <= hi
+        assert tuple(map(dyadic, _ln_floats(n, precision))) == mpmath_log_ends(n, precision)
+
+
+class TestMeasureMap:
+    def test_reads_as_the_dict_of_the_mpmath_route(self):
+        mm, d = measure_map((4, 8, 5)), mpmath_measure_map((4, 8, 5))
+        assert list(mm) == list(d) == list(product(range(1, 4), range(1, 8), range(1, 5)))
+        assert len(mm) == len(d) and mm == d and d == mm and repr(mm) == repr(d)
+        assert mm == measure_map((4, 8, 5)) and mm != measure_map((4, 8, 5), precision=64)
+        assert mm != mpmath_measure_map((4, 8, 5), precision=64) and mm != {}
+        with pytest.raises(TypeError):
+            hash(mm)
+        assert (3, 7, 4) in mm and mm.get((4, 1, 1)) is None
+        for key in ((0, 1, 1), (1, 1), [1, 1, 1], (1, 8, 1), (1.5, 1, 1), "111"):
+            assert key not in mm
+            with pytest.raises(KeyError):
+                mm[key]
+
+    @pytest.mark.parametrize("precision", [16, 53, 128, 4096])
+    def test_bounds_are_the_endpoints_of_the_mpmath_values(self, precision):
+        mm = measure_map((3, 10, 7), precision=precision)
+        for tup, value in mpmath_measure_map((3, 10, 7), precision=precision).items():
+            assert tuple(map(dyadic, mm.bounds(tup))) == tuple(
+                dyadic(end[1:3]) for end in value._mpi_)
+
+    def test_cap_is_checked_at_once(self):
+        with pytest.raises(ResourceLimitError):
+            measure_map((300, 301, 302))
+
+
+floats = st.tuples(st.integers(1, 2**300) | st.integers(1, 2**4200),
+                   st.integers(-3800, 200) | st.integers(-400, 10))
+# just below a power of ten, so that rounding the 30th digit carries all the way
+near_powers_of_ten = st.builds(
+    lambda k, bits, under: ((10 ** max(k, 0) << bits) // 10 ** max(-k, 0) - under, -bits),
+    st.integers(-40, 40), st.integers(260, 600), st.integers(1, 2**20))
+
+
+class TestFloatFormatting:
+    @given(x=floats | near_powers_of_ten, dps=st.sampled_from((8, 15, 30)))
+    @settings(max_examples=400, deadline=None)
+    def test_nstr_is_mpmath_to_str(self, x, dps):
+        from mpmath.libmp import from_man_exp, to_str
+
+        assume(abs(x[0].bit_length() + x[1]) < 3500)
+        assert _nstr(*x, dps) == to_str(from_man_exp(*x), dps)
+
+    @given(x=floats | near_powers_of_ten)
+    @settings(max_examples=200, deadline=None)
+    def test_float_is_mpmath_float(self, x):
+        from mpmath.libmp import from_man_exp
+
+        assume(abs(x[0].bit_length() + x[1]) < 1000)  # normal floats, as every measure is
+        assert _float(x) == float(mpmath.mpf(from_man_exp(*x)))
+
+    @given(num=st.integers(1, 2**600), den=st.integers(1, 2**600),
+           prec=st.sampled_from((16, 53, 69, 128, 144, 4096)), mode=st.sampled_from((-1, 0, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_round_is_mpmath_from_rational(self, num, den, prec, mode):
+        from mpmath.libmp import from_rational
+
+        _, man, exp, _ = from_rational(num, den, prec, {-1: "f", 0: "n", 1: "c"}[mode])
+        assert dyadic(torus._round(num, den, prec, mode)) == dyadic((man, exp))
+
+    @pytest.mark.parametrize("prec", [16, 53, 69])
+    @pytest.mark.parametrize("den", [1, 8, 3])
+    def test_round_ties_go_to_even(self, prec, den):
+        # 2 * man + 1 lies halfway between two prec-bit mantissas; the last
+        # one carries into a new power of two
+        from mpmath.libmp import from_rational
+
+        for man in (2 ** (prec - 1), 2 ** (prec - 1) + 1, 2**prec - 2, 2**prec - 1):
+            for mode, rnd in ((-1, "f"), (0, "n"), (1, "c")):
+                _, m, e, _ = from_rational((2 * man + 1) * den, den, prec, rnd)
+                assert dyadic(torus._round((2 * man + 1) * den, den, prec, mode)) == dyadic((m, e))
+
+
+NO_MPMATH = """\
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from jointdigits.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out.append([main(argv), buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("bases", ["4,8,10", "3,7,11"])
+def test_default_coverage_needs_no_mpmath(bases):
+    queries = [["coverage", "--bases", bases, "--samples", "500", "--sampler", sampler,
+                "--output", output]
+               for sampler in SAMPLERS for output in ("text", "json", "csv")]
+    with mpmath_route():
+        expected = [list(run_main(argv)[:2]) for argv in queries]
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, json.dumps(queries)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected

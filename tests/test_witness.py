@@ -302,6 +302,21 @@ class TestWitnessResultJson:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_big_witness_prints_under_the_lowest_guard(self):
+        # 640 digits, the least limit Python accepts: x is printed in parts
+        # no longer than that
+        r = find_witness(WitnessQuery((3, 10, 17, 19), (2, 9, 16, 18), budget=30_000,
+                                      retry_other_anchors=False))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(r.x)
+            sys.set_int_max_str_digits(640)
+            payload = r.to_json_dict()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["x"] == expected
+
     def test_found_k_is_bounded_by_the_anchor_base_too(self):
         # b**k <= x < 2**(4 * len(x)) bounds k * (bit_length(b) - 1): from a
         # 997-bit base, k = 2999 would build about 900,000 digits for 1000
