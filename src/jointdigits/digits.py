@@ -25,7 +25,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import _Record, _check_cap, _check_power
 
@@ -502,10 +502,9 @@ def digit_runs(
 
 
 def iter_digit_tuples(bases: Iterable[int], x_max: int) -> Iterator[tuple[int, ...]]:
-    """Iterate leading_digit_tuple(x, bases) for x = 1, 2, ..., x_max.
+    """Yield leading_digit_tuple(x, bases) for x = 1, 2, ..., x_max.
 
-    Expands digit_runs through chain and repeat, so the steps that grow
-    with x_max run in C rather than in a Python generator.
+    Expands digit_runs, so only the yields grow with x_max.
     """
-    runs = digit_runs(bases, x_max)
-    return chain.from_iterable(repeat(digits, stop - start) for start, stop, digits in runs)
+    for start, stop, digits in digit_runs(bases, x_max):
+        yield from repeat(digits, stop - start)

@@ -89,9 +89,9 @@ def _check_precision(precision) -> None:
 
 
 # mpmath is imported only where an mpmath interval is asked for (the public
-# interval API, and the rare log endpoint of _ln_floats that the integer
-# enclosure cannot round); the integer core, the CLI subcommands and a
-# default coverage query never import it
+# interval API, and the logs of _ln_floats that the integer enclosure cannot
+# round or does not take); the integer core, the other CLI subcommands and a
+# default coverage query on bases below 4717 never import it
 @lru_cache(maxsize=None)
 def _context(precision: int):
     """Interval context at the given precision (shared per precision)."""
@@ -196,14 +196,21 @@ def _atanh_inv(q: int, bits: int) -> tuple[int, int]:
     return s, s + k + 2
 
 
-# room for every n up to the largest base a codomain within DEFAULT_TUPLE_CAP
-# can hold, so the edges of one such base are built with no log twice
-@lru_cache(maxsize=DEFAULT_TUPLE_CAP + 1)
+# the largest n given to _ln_fixed: the largest base a codomain within
+# DEFAULT_TUPLE_CAP can hold, whose edges need ln j for j up to the base
+_LN_FIXED_MAX = DEFAULT_TUPLE_CAP + 1
+
+
+# room for every n up to _LN_FIXED_MAX, so the edges of one such base are
+# built with no log twice
+@lru_cache(maxsize=_LN_FIXED_MAX)
 def _ln_fixed(n: int, bits: int) -> tuple[int, int]:
-    """Integer bounds (lo, hi) of 2**bits * ln n, for n >= 1.
+    """Integer bounds (lo, hi) of 2**bits * ln n, for 1 <= n <= _LN_FIXED_MAX.
 
     ln 2 = 2 atanh(1/3); a composite n adds the logs of two factors, and a
-    prime p >= 3 is ln(p - 1) + 2 atanh(1/(2p - 1)).  The bounds add.
+    prime p >= 3 is ln(p - 1) + 2 atanh(1/(2p - 1)).  The bounds add.  n is
+    factored by trial division and the recursion is about 2 log2(n) deep,
+    so n must stay small.
     """
     if n == 1:
         return 0, 0
@@ -228,12 +235,13 @@ def _ln_floats(n: int, precision: int) -> tuple[tuple[int, int], tuple[int, int]
     few units of its last place of ln n.  Where every value within
     2**-(precision + 10) of the integer enclosure, 1024 such units, rounds
     the same way in both directions, those roundings are mpmath's
-    endpoints.  Elsewhere (8 of the n up to 65,537 at 128 bits), and for
-    an n that the precision cannot hold, mpmath computes them.
+    endpoints.  Elsewhere (8 of the n up to 65,537 at 128 bits, the
+    first 4717), for an n above _LN_FIXED_MAX and for an n that the
+    precision cannot hold, mpmath computes them.
     """
     if n == 1:
         return (0, 0), (0, 0)
-    if n.bit_length() <= precision:
+    if n <= _LN_FIXED_MAX and n.bit_length() <= precision:
         bits = precision + _GUARD
         lo, hi = _ln_fixed(n, bits)
         slack = 1 << bits - precision - 10

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -39,12 +40,14 @@ import jointdigits.torus as torus
 from jointdigits.cli import main
 from jointdigits.torus import (
     _GUARD,
+    _LN_FIXED_MAX,
     MAX_PRECISION,
     _context,
     _endpoints,
     _fixed,
     _float,
     _ln_fixed,
+    _log_table,
     _ln_floats,
     _nstr,
     _van_der_corput,
@@ -436,6 +439,7 @@ class TestOrbitSample:
 # package imports no mpmath, so each enclosure site must load it itself
 FRESH_IMPORTS = """\
 import sys
+import time
 from fractions import Fraction
 from jointdigits import (CoverageReport, classify_parameter, frequency_vector,
     measure_map, orbit_sample, rectangle_of, torus_digit_tuple, total_measure)
@@ -625,11 +629,32 @@ class TestIntegerTablesMatchMpmath:
         # at twice their bits; their roundings to the working precision are
         # the endpoints of mpmath's interval at that precision
         bits = precision + _GUARD
-        lo, hi = _ln_fixed(n, bits)
-        assert lo <= hi
-        wide_lo, wide_hi = mpmath_log_ends(n, 2 * bits)
-        assert lo <= wide_lo * 2**bits and wide_hi * 2**bits <= hi
+        if n <= _LN_FIXED_MAX:
+            lo, hi = _ln_fixed(n, bits)
+            assert lo <= hi
+            wide_lo, wide_hi = mpmath_log_ends(n, 2 * bits)
+            assert lo <= wide_lo * 2**bits and wide_hi * 2**bits <= hi
         assert tuple(map(dyadic, _ln_floats(n, precision))) == mpmath_log_ends(n, precision)
+
+    @pytest.mark.parametrize("b, precision", [
+        (2**61 - 1, 128), (2**89 - 1, 128), (2**1500, 2048), (3**1000, MAX_PRECISION)],
+        ids=["2**61-1", "2**89-1", "2**1500", "3**1000"])
+    def test_large_bases_take_their_logs_from_mpmath_promptly(self, b, precision):
+        # a base past the integer tables' range is neither factored nor
+        # recursed on: trial division of 2**89 - 1 would run for hours, and
+        # the recursion over 2**1500 would overflow the stack
+        start = time.perf_counter()
+        x = 7 * b**3 + 5
+        fv = frequency_vector((b, 10), precision=precision)
+        got = torus_digit_tuple(x, (b, 10), precision=precision)
+        assert time.perf_counter() - start < 10
+        assert tuple(map(dyadic, _ln_floats(b, precision))) == mpmath_log_ends(b, precision)
+        assert _log_table(b, precision).inv_fixed == MpmathLogTable(b, precision).inv_fixed
+        assert fv.omega[0]._mpi_ == (_context(precision).one / mpmath_log_table(
+            b, precision).log_b)._mpi_
+        assert got == leading_digit_tuple(x, (b, 10))
+        with mpmath_route():
+            assert got == torus_digit_tuple(x, (b, 10), precision=precision)
 
 
 class TestMeasureMap:
@@ -713,10 +738,25 @@ from jointdigits.cli import main
 out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        out.append([main(argv), buf.getvalue()])
+    try:
+        with contextlib.redirect_stdout(buf):
+            out.append([main(argv), buf.getvalue()])
+    except ImportError:
+        out.append(["ImportError", buf.getvalue()])
 print(json.dumps(out))
 """
+
+
+def run_without_mpmath(queries):
+    """[exit code or "ImportError", stdout] of each CLI query, in one fresh
+    interpreter in which mpmath cannot be imported."""
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, json.dumps(queries)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("bases", ["4,8,10", "3,7,11"])
@@ -726,10 +766,14 @@ def test_default_coverage_needs_no_mpmath(bases):
                for sampler in SAMPLERS for output in ("text", "json", "csv")]
     with mpmath_route():
         expected = [list(run_main(argv)[:2]) for argv in queries]
-    env = dict(os.environ)
-    src = str(Path(jointdigits.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_MPMATH, json.dumps(queries)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    assert run_without_mpmath(queries) == expected
+
+
+def test_default_coverage_of_base_4717_needs_mpmath():
+    # at 128 bits ln 4717 is the first log whose endpoints the integer
+    # bounds cannot round, so, as the README says, a default coverage of a
+    # base of 4717 or more may need mpmath; one of base 4716 does not
+    queries = [["coverage", "--bases", f"{b},3", "--samples", "50"] for b in (4716, 4717)]
+    with mpmath_route():
+        expected = list(run_main(queries[0])[:2])
+    assert run_without_mpmath(queries) == [expected, ["ImportError", ""]]
