@@ -27,8 +27,10 @@ Points are classified on the integer bounds of 1/ln b and log_b j at
 scale 2**P, and one that cannot be certified on one side of a rectangle
 boundary is counted as boundary-ambiguous, never silently classified.
 Sample points that are exact rationals are classified by the exact
-integer core instead, so those counts carry no rounding at all.  mpmath
-itself builds the interval values of the public API, on first use.
+integer core instead, so those counts carry no rounding at all.  The
+interval values of the public API wrap the same endpoints: mpmath only
+computes the logs the integer bounds cannot round and ln x in
+``torus_digit_tuple``, and does arithmetic on the values a caller holds.
 """
 
 from __future__ import annotations
@@ -119,16 +121,19 @@ def _fixed(x, precision: int) -> tuple[int, int]:
     return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
 
-# Binary floats as pairs (man, exp), the value man * 2**exp >= 0.  mpmath's
+# Binary floats as pairs (man, exp), the value man * 2**exp.  mpmath's
 # interval arithmetic rounds every +, -, *, / outward to a float of the
 # working precision, correctly; these functions make the same roundings on
 # integers, so the intervals below are mpmath's own, endpoint for endpoint.
 
 def _round(num: int, den: int, prec: int, mode: int) -> tuple[int, int]:
-    """num/den >= 0 as a prec-bit float: rounded down for mode < 0, up for
-    mode > 0, and to nearest, ties to even, for mode 0."""
-    if not num:
-        return 0, 0
+    """num/den, den > 0, as a prec-bit float: rounded down for mode < 0, up
+    for mode > 0, and to nearest, ties to even, for mode 0."""
+    if num <= 0:
+        if not num:
+            return 0, 0
+        man, e = _round(-num, den, prec, -mode)
+        return -man, e
     if den == 1:
         e = num.bit_length() - prec
         if e <= 0:
@@ -160,16 +165,23 @@ def _div(x, y, prec: int, mode: int) -> tuple[int, int]:
 
 
 def _add(x, y, prec: int, mode: int, sign: int = 1) -> tuple[int, int]:
-    """x + y, or x - y >= 0 for sign -1, rounded."""
+    """x + y, or x - y for sign -1, rounded."""
     e = min(x[1], y[1])
     man, f = _round((x[0] << x[1] - e) + sign * (y[0] << y[1] - e), 1, prec, mode)
     return man, f + e
 
 
-def _below(x, y) -> bool:
-    """x < y."""
-    e = min(x[1], y[1])
-    return x[0] << x[1] - e < y[0] << y[1] - e
+def _imul(x, y, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The product of the intervals x = (lo, hi) and y, rounded outward:
+    mpmath's mpi_mul of finite intervals, the least and the greatest of
+    the four exact endpoint products."""
+    if x[0][0] >= 0 and y[0][0] >= 0:
+        return _mul(x[0], y[0], prec, -1), _mul(x[1], y[1], prec, 1)
+    ex, ey = min(x[0][1], x[1][1]), min(y[0][1], y[1][1])
+    mans = [a << f - ex for a, f in x]
+    products = [a * (b << g - ey) for b, g in y for a in mans]
+    (lo, f), (hi, g) = _round(min(products), 1, prec, -1), _round(max(products), 1, prec, 1)
+    return (lo, f + ex + ey), (hi, g + ex + ey)
 
 
 def _scaled(x, precision: int, mode: int) -> int:
@@ -254,6 +266,13 @@ def _ln_floats(n: int, precision: int) -> tuple[tuple[int, int], tuple[int, int]
     return (m_lo, e_lo), (m_hi, e_hi)
 
 
+def _interval(ends, precision: int):
+    """The mpmath interval with the endpoint floats ends = (lo, hi)."""
+    from mpmath.libmp import from_man_exp
+
+    return _context(precision).make_mpf(tuple(from_man_exp(*end) for end in ends))
+
+
 _ONE = (1, 0)
 
 
@@ -262,28 +281,32 @@ class _LogTable:
 
     Each interval is the one mpmath's interval arithmetic gives at P bits,
     held as its endpoint floats (lo, hi) and computed on integers: ln b,
-    1/ln b with integer bounds at scale 2**P, the edges log_b j for
+    1/ln b, also with integer bounds at scale 2**P, the edges log_b j for
     j = 1..b and the coordinate measures log_b(1 + 1/j) for j = 1..b-1.
-    The O(b) tables are built on first use.  ``log_b``, ``inv``, ``edge``,
-    ``edges`` and ``coords`` are the same intervals as mpmath values, for
-    the public interval API.
+    The O(b) tables are built on first use; the public interval API wraps
+    these endpoints.
     """
 
     def __init__(self, b: int, precision: int):
         _check_precision(precision)
         self.b, self.precision = b, precision
         self.ln_b = lo, hi = _ln_floats(b, precision)
-        self.inv_fixed = (_scaled(_div(_ONE, hi, precision, -1), precision, -1),
-                          _scaled(_div(_ONE, lo, precision, 1), precision, 1))
+        self.inv_floats = inv_lo, inv_hi = (_div(_ONE, hi, precision, -1),
+                                            _div(_ONE, lo, precision, 1))
+        self.inv_fixed = _scaled(inv_lo, precision, -1), _scaled(inv_hi, precision, 1)
+
+    def edge(self, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """log_b j, for 1 <= j <= b."""
+        p, (lb_lo, lb_hi) = self.precision, self.ln_b
+        lo, hi = _ln_floats(j, p)
+        return _div(lo, lb_hi, p, -1), _div(hi, lb_lo, p, 1)
 
     @cached_property
     def edge_floats(self) -> tuple[tuple, ...]:
         # all b edges are read only for bisection and measures, so their
         # number keeps to the bound of a one-base codomain
         _check_cap("digit count of one base", self.b - 1, DEFAULT_TUPLE_CAP)
-        (lb_lo, lb_hi), p = self.ln_b, self.precision
-        return tuple((_div(lo, lb_hi, p, -1), _div(hi, lb_lo, p, 1))
-                     for lo, hi in (_ln_floats(j, p) for j in range(1, self.b + 1)))
+        return tuple(map(self.edge, range(1, self.b + 1)))
 
     @cached_property
     def edge_fixed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -292,40 +315,13 @@ class _LogTable:
                 tuple(_scaled(hi, p, 1) for _, hi in self.edge_floats))
 
     @cached_property
-    def coord_floats(self) -> tuple[tuple, ...] | None:
-        """log_b(j + 1) - log_b(j) for j = 1..b-1, or None if two edges
-        overlap, as those of a base of a few thousand do at 16 bits: an
-        interval that holds 0 takes other branches of mpmath's product.
-        Each difference is exact, as the two edges are within a factor of
-        2 of each other, but is rounded as mpmath rounds it all the same."""
+    def coord_floats(self) -> tuple[tuple, ...]:
+        """log_b(j + 1) - log_b(j) for j = 1..b-1.  Its low end is negative
+        where two edges overlap, as those of a base of a few thousand do at
+        16 bits."""
         edges, p = self.edge_floats, self.precision
-        if not all(_below(e0[1], e1[0]) for e0, e1 in zip(edges, edges[1:])):
-            return None
         return tuple((_add(e1[0], e0[1], p, -1, -1), _add(e1[1], e0[0], p, 1, -1))
                      for e0, e1 in zip(edges, edges[1:]))
-
-    @cached_property
-    def log_b(self):
-        ctx = _context(self.precision)
-        return ctx.log(ctx.mpf(self.b))
-
-    @cached_property
-    def inv(self):
-        return _context(self.precision).one / self.log_b
-
-    def edge(self, j: int):
-        """Enclosure of log_b j, for one rectangle without all b edges."""
-        ctx = _context(self.precision)
-        return ctx.log(ctx.mpf(j)) / self.log_b
-
-    @cached_property
-    def edges(self) -> tuple:
-        return tuple(map(self.edge, range(1, self.b + 1)))
-
-    @cached_property
-    def coords(self) -> tuple:
-        edges = self.edges
-        return tuple(hi - lo for lo, hi in zip(edges, edges[1:]))
 
     def split(self, lo: int, hi: int, den: int) -> tuple[int, int, int] | None:
         """For every v in [lo/den, hi/den]: k = floor(v / ln b) and integer
@@ -346,7 +342,7 @@ _log_table = lru_cache(maxsize=64)(_LogTable)
 
 def _float(x) -> float:
     """float() of the mpf x: rounded to 53 bits, to nearest, ties to even."""
-    man, e = _round(x[0], 1, 53, 0) if x[0] >> 53 else (x[0], 0)
+    man, e = _round(x[0], 1, 53, 0) if abs(x[0]) >> 53 else (x[0], 0)
     return ldexp(man, e + x[1])
 
 
@@ -354,14 +350,18 @@ _LOG2_10 = log(10, 2)
 
 
 def _nstr(man: int, exp: int, dps: int) -> str:
-    """mpmath.nstr(x, dps) of the float x = man * 2**exp in (2**-3500, 2**3500).
+    """mpmath.nstr(x, dps) of the float x = man * 2**exp, 0 or of magnitude
+    in (2**-3500, 2**3500).
 
-    This is libmpf.to_str with its defaults: the digits of x are
-    truncated past about dps + 3 places, then rounded half up to dps, and
-    x is printed in fixed point when its leading digit has an exponent in
+    This is libmpf.to_str with its defaults: 0 prints as 0.0 and a
+    negative x as "-" and the string of -x; the digits of x are truncated
+    past about dps + 3 places, then rounded half up to dps, and x is
+    printed in fixed point when its leading digit has an exponent in
     (min(-(dps // 3), -5), dps), with trailing zeros stripped.  (to_str
     scales an x outside that range by a power of ten first; no measure is.)
     """
+    if man <= 0:
+        return "-" + _nstr(-man, exp, dps) if man else "0.0"
     bc = man.bit_length()
     fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
@@ -407,7 +407,7 @@ def frequency_vector(
 ) -> FrequencyVector:
     """Compute (1/ln b_1, ..., 1/ln b_n) as certified enclosures."""
     bs = check_bases(bases)
-    omega = tuple(_log_table(b, precision).inv for b in bs)
+    omega = tuple(_interval(_log_table(b, precision).inv_floats, precision) for b in bs)
     return FrequencyVector(bases=bs, precision=precision, omega=omega)
 
 
@@ -470,8 +470,8 @@ def rectangle_of(
     for j, b in zip(tgt, bs):
         check_digit(j, b)
         table = _log_table(b, precision)
-        lows.append(table.edge(j))
-        highs.append(table.edge(j + 1))
+        lows.append(_interval(table.edge(j), precision))
+        highs.append(_interval(table.edge(j + 1), precision))
     return Rectangle(
         bases=bs, digits=tgt, precision=precision, lows=tuple(lows), highs=tuple(highs)
     )
@@ -486,11 +486,11 @@ class _MeasureMap(Mapping):
     """Read-only map from each digit tuple of the bases to its rectangle
     measure, keyed in product order.
 
-    A value is an mpmath interval, built on first access.  ``bounds(tup)``
-    gives the same interval's endpoints as floats (man, exp), from the
-    integer log tables: the product of the coordinate measures, rounded
-    outward at each step as mpmath rounds it.  == and repr are those of
-    the dict it stands for, and like a dict it is unhashable.
+    ``bounds(tup)`` gives a measure's endpoints as floats (man, exp), from
+    the integer log tables: the product of the coordinate measures, rounded
+    outward at each step as mpmath rounds it.  A value is the mpmath
+    interval with those endpoints, built on each access.  == and repr are
+    those of the dict it stands for, and like a dict it is unhashable.
     """
 
     def __init__(self, bases: tuple[int, ...], precision: int, cap: int):
@@ -498,7 +498,6 @@ class _MeasureMap(Mapping):
         _codomain(bases, cap)
         self.bases, self.precision = bases, precision
         self._tables = [_log_table(b, precision) for b in bases]
-        self._values: dict = {}
 
     def __len__(self) -> int:
         return prod(b - 1 for b in self.bases)
@@ -513,12 +512,7 @@ class _MeasureMap(Mapping):
     def __getitem__(self, tup):
         if tup not in self:
             raise KeyError(tup)
-        if tup not in self._values:
-            m = _context(self.precision).one
-            for table, j in zip(self._tables, tup):
-                m = m * table.coords[j - 1]
-            self._values[tup] = m
-        return self._values[tup]
+        return _interval(self.bounds(tup), self.precision)
 
     def __eq__(self, other):
         # the values are fixed by the bases and the precision
@@ -530,20 +524,12 @@ class _MeasureMap(Mapping):
     def __repr__(self) -> str:
         return repr(dict(self))
 
-    @cached_property
-    def exact(self) -> bool:
-        """Whether bounds() gives the values' endpoints: no two edges overlap."""
-        return all(table.coord_floats is not None for table in self._tables)
-
     def bounds(self, tup: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Endpoint floats (lo, hi) of the measure of a tuple of the codomain,
-        where ``exact`` holds."""
-        p = self.precision
-        lo = hi = _ONE
+        """Endpoint floats (lo, hi) of the measure of a tuple of the codomain."""
+        p, ends = self.precision, (_ONE, _ONE)
         for table, j in zip(self._tables, tup):
-            c_lo, c_hi = table.coord_floats[j - 1]
-            lo, hi = _mul(lo, c_lo, p, -1), _mul(hi, c_hi, p, 1)
-        return lo, hi
+            ends = _imul(ends, table.coord_floats[j - 1], p)
+        return ends
 
 
 def measure_map(
@@ -565,11 +551,12 @@ def total_measure(
     cap: int = DEFAULT_TUPLE_CAP,
 ):
     """Enclosure of the sum of all rectangle measures (telescopes to 1)."""
-    ctx = _context(precision)
-    total = ctx.zero
-    for m in measure_map(bases, precision=precision, cap=cap).values():
-        total = total + m
-    return total
+    measures = measure_map(bases, precision=precision, cap=cap)
+    lo = hi = (0, 0)
+    for tup in measures:
+        m_lo, m_hi = measures.bounds(tup)
+        lo, hi = _add(lo, m_lo, precision, -1), _add(hi, m_hi, precision, 1)
+    return _interval((lo, hi), precision)
 
 
 def torus_digit_tuple(
@@ -651,7 +638,9 @@ class CoverageReport(_Record):
     ``hit_counts`` maps digit tuples to sample counts;
     ``boundary_ambiguous`` counts samples whose rectangle could not be
     certified (always 0 for exact samplers).  ``measures`` holds the
-    rectangle measure enclosure for every tuple of the codomain.
+    rectangle measure enclosure for every tuple of the codomain; the
+    deviations and the printed measures are read off its endpoint floats,
+    with no mpmath.
     """
 
     bases: tuple[int, ...]
@@ -676,20 +665,11 @@ class CoverageReport(_Record):
             return 0.0
         return self.hit_counts.get(tup, 0) / classified
 
-    def _exact(self) -> bool:
-        """Whether the measures are a measure map of this precision whose
-        endpoints the integer tables give."""
-        m = self.measures
-        return isinstance(m, _MeasureMap) and m.precision == self.precision and m.exact
-
     def deviations(self) -> dict[tuple[int, ...], float]:
         """Per-tuple |empirical frequency - rectangle measure| (midpoint)."""
-        out, exact = {}, self._exact()
+        out = {}
         for tup in self.measures:
-            if exact:
-                lo, hi = map(_float, self.measures.bounds(tup))
-            else:
-                lo, hi = map(float, _endpoints(self.measures[tup], self.precision))
+            lo, hi = map(_float, self.measures.bounds(tup))
             out[tup] = abs(self.frequency(tup) - (lo + hi) / 2)
         return out
 
@@ -699,15 +679,9 @@ class CoverageReport(_Record):
     def _measure_str(self, tup: tuple[int, ...], digits: int = 30) -> str:
         """mpmath.nstr of the midpoint of a tuple's measure, taken at
         precision + 16 bits."""
-        if self._exact():
-            lo, hi = self.measures.bounds(tup)
-            man, e = _add(lo, hi, self.precision + 16, 0)
-            return _nstr(man, e - 1, digits)
-        import mpmath
-
-        with mpmath.mp.workprec(self.precision + 16):
-            lo, hi = _endpoints(self.measures[tup], self.precision)
-            return mpmath.nstr((lo + hi) / 2, digits)
+        lo, hi = self.measures.bounds(tup)
+        man, e = _add(lo, hi, self.precision + 16, 0)
+        return _nstr(man, e - 1, digits)
 
     def _cells(self) -> Iterator[tuple[tuple[int, ...], int, str]]:
         """(tuple, count, measure string) for every tuple of the codomain, sorted."""

@@ -488,10 +488,13 @@ class MpmathLogTable:
         self.log_b = ctx.log(ctx.mpf(b))
         self.inv_fixed = _fixed(ctx.one / self.log_b, precision)
 
+    def edge(self, j):
+        ctx = _context(self.precision)
+        return ctx.log(ctx.mpf(j)) / self.log_b
+
     @cached_property
     def edges(self):
-        ctx = _context(self.precision)
-        return tuple(ctx.log(ctx.mpf(j)) / self.log_b for j in range(1, self.b + 1))
+        return tuple(map(self.edge, range(1, self.b + 1)))
 
     @cached_property
     def edge_fixed(self):
@@ -610,16 +613,44 @@ class TestIntegerTablesMatchMpmath:
         with mpmath_route():
             assert got == [classify_parameter(t, fv) for t in points]
 
-    def test_overlapping_edges_take_the_mpmath_route(self):
-        # at 16 bits the edge intervals of base 3000 overlap, so some
-        # coordinate measure holds 0 and its products are left to mpmath
-        assert not measure_map((3000, 3), precision=16).exact
-        assert measure_map((2000, 3), precision=16).exact
-        argv = ["coverage", "--bases", "3000,3", "--samples", "50", "--precision", "16"]
-        for output in ("text", "csv"):
-            got = run_main(argv + ["--output", output])
-            with mpmath_route():
-                assert got == run_main(argv + ["--output", output])
+    def test_overlapping_edges_match_the_mpmath_route(self):
+        # at 16 bits the edge intervals of bases 3000 and 6000 overlap, so
+        # some coordinate measures have a negative low end; base 6000 also
+        # has measures whose midpoint is 0
+        mm = measure_map((6000,), precision=16)
+        assert any(mm.bounds(tup)[0][0] < 0 for tup in mm)
+        assert any(sum(dyadic(end) for end in mm.bounds(tup)) == 0 for tup in mm)
+        for bases in ("3000,3", "6000"):
+            argv = ["coverage", "--bases", bases, "--samples", "50", "--precision", "16"]
+            for output in ("text", "json", "csv"):
+                got = run_main(argv + ["--output", output])
+                with mpmath_route():
+                    assert got == run_main(argv + ["--output", output])
+
+    def test_total_measure_of_overlapping_edges_is_the_oracle_sum(self):
+        ctx = _context(16)
+        oracle = mpmath_measure_map((3000, 3), precision=16)
+        assert {tup: m._mpi_ for tup, m in measure_map((3000, 3), precision=16).items()} == {
+            tup: m._mpi_ for tup, m in oracle.items()}
+        total = ctx.zero
+        for m in oracle.values():
+            total = total + m
+        assert total_measure((3000, 3), precision=16)._mpi_ == total._mpi_
+
+    @pytest.mark.parametrize("precision", [16, 128, 4096])
+    def test_public_values_are_the_mpmath_intervals(self, precision):
+        # ln 4717 is the first log that the integer bounds cannot round at
+        # 128 bits, and 70001 is above _LN_FIXED_MAX (and wider than 16
+        # bits), so every branch of _ln_floats is taken
+        bases = (3, 10, 4717, 70001)
+        tables = [MpmathLogTable(b, precision) for b in bases]
+        fv = frequency_vector(bases, precision=precision)
+        assert [om._mpi_ for om in fv.omega] == [
+            (_context(precision).one / table.log_b)._mpi_ for table in tables]
+        for target in ((1, 1, 1, 1), (2, 9, 4716, 70000), (1, 5, 2358, 35000)):
+            r = rectangle_of(bases, target, precision=precision)
+            for table, j, lo, hi in zip(tables, target, r.lows, r.highs):
+                assert (lo._mpi_, hi._mpi_) == (table.edge(j)._mpi_, table.edge(j + 1)._mpi_)
 
     @given(n=st.integers(1, 400) | st.integers(400, 70_000),
            precision=st.sampled_from(DIFF_PRECISIONS))
@@ -684,12 +715,17 @@ class TestMeasureMap:
             measure_map((300, 301, 302))
 
 
-floats = st.tuples(st.integers(1, 2**300) | st.integers(1, 2**4200),
+floats = st.tuples(st.just(0) | st.integers(-2**300, 2**300) | st.integers(-2**4200, 2**4200),
                    st.integers(-3800, 200) | st.integers(-400, 10))
 # just below a power of ten, so that rounding the 30th digit carries all the way
 near_powers_of_ten = st.builds(
-    lambda k, bits, under: ((10 ** max(k, 0) << bits) // 10 ** max(-k, 0) - under, -bits),
-    st.integers(-40, 40), st.integers(260, 600), st.integers(1, 2**20))
+    lambda sign, k, bits, under: (
+        sign * ((10 ** max(k, 0) << bits) // 10 ** max(-k, 0) - under), -bits),
+    st.sampled_from((1, -1)), st.integers(-40, 40), st.integers(260, 600),
+    st.integers(1, 2**20))
+# a signed interval: two floats in order
+intervals = st.lists(floats.filter(lambda x: abs(x[1]) < 1000), min_size=2, max_size=2).map(
+    lambda ends: tuple(sorted(ends, key=dyadic)))
 
 
 class TestFloatFormatting:
@@ -709,14 +745,25 @@ class TestFloatFormatting:
         assume(abs(x[0].bit_length() + x[1]) < 1000)  # normal floats, as every measure is
         assert _float(x) == float(mpmath.mpf(from_man_exp(*x)))
 
-    @given(num=st.integers(1, 2**600), den=st.integers(1, 2**600),
+    @given(num=st.integers(-2**600, 2**600), den=st.integers(1, 2**600),
            prec=st.sampled_from((16, 53, 69, 128, 144, 4096)), mode=st.sampled_from((-1, 0, 1)))
     @settings(max_examples=300, deadline=None)
     def test_round_is_mpmath_from_rational(self, num, den, prec, mode):
-        from mpmath.libmp import from_rational
+        from mpmath.libmp import from_man_exp, from_rational
 
-        _, man, exp, _ = from_rational(num, den, prec, {-1: "f", 0: "n", 1: "c"}[mode])
-        assert dyadic(torus._round(num, den, prec, mode)) == dyadic((man, exp))
+        assert from_man_exp(*torus._round(num, den, prec, mode)) == from_rational(
+            num, den, prec, {-1: "f", 0: "n", 1: "c"}[mode])
+
+    @given(x=intervals, y=intervals, prec=st.sampled_from((16, 53, 128, 144)))
+    @settings(max_examples=300, deadline=None)
+    def test_imul_is_mpmath_mpi_mul(self, x, y, prec):
+        from mpmath.libmp import from_man_exp
+        from mpmath.libmp.libmpi import mpi_mul
+
+        def mpi(iv):
+            return tuple(from_man_exp(*end) for end in iv)
+
+        assert mpi(torus._imul(x, y, prec)) == mpi_mul(mpi(x), mpi(y), prec)
 
     @pytest.mark.parametrize("prec", [16, 53, 69])
     @pytest.mark.parametrize("den", [1, 8, 3])
