@@ -48,12 +48,13 @@ from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 __all__ = ["main", "build_parser"]
 
 
-def _enum_cap() -> int:
-    return int(os.environ.get("JOINTDIGITS_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
-
-
-def _scan_cap() -> int:
-    return int(os.environ.get("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
+def _env_cap(name: str, default: int) -> int:
+    """The cap set by the environment variable name, or the default."""
+    text = os.environ.get(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _parse_bases(text: str) -> tuple[int, ...]:
@@ -208,7 +209,7 @@ def _cmd_table(args) -> int:
             f"bases {bases[0]} and {bases[1]} are multiplicatively independent; "
             "no combined-base table exists"
         )
-    table = joint_table(dep, cap=_enum_cap())
+    table = joint_table(dep, cap=_env_cap("JOINTDIGITS_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
     if args.output == "json":
         print(table.to_json_text())
         return 0
@@ -259,7 +260,7 @@ def _cmd_witness(args) -> int:
         anchor=args.anchor,
         retry_other_anchors=not args.no_retry_anchors,
     )
-    result = find_witness(query, budget_cap=_scan_cap())
+    result = find_witness(query, budget_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
     if args.output == "json":
         _emit_json(result.to_json_dict())
         return 0
@@ -285,7 +286,7 @@ def _cmd_coverage(args) -> int:
         ratio=parse_positive_rational(args.ratio),
         window=args.window,
         precision=args.precision,
-        sample_cap=_scan_cap(),
+        sample_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP),
     )
     if args.output == "json":
         _emit_json(report.to_json_dict())

@@ -28,9 +28,9 @@ scale 2**P, and one that cannot be certified on one side of a rectangle
 boundary is counted as boundary-ambiguous, never silently classified.
 Sample points that are exact rationals are classified by the exact
 integer core instead, so those counts carry no rounding at all.  The
-interval values of the public API wrap the same endpoints: mpmath only
-computes the logs the integer bounds cannot round and ln x in
-``torus_digit_tuple``, and does arithmetic on the values a caller holds.
+interval values of the public API and ln x in ``torus_digit_tuple`` take
+the same endpoints: mpmath only computes the logs the integer bounds
+cannot round, and does arithmetic on the values a caller holds.
 """
 
 from __future__ import annotations
@@ -111,14 +111,6 @@ def _endpoints(x, precision: int):
 
     with mpmath.mp.workprec(precision + 16):
         return mpmath.mpf(x.a), mpmath.mpf(x.b)
-
-
-def _fixed(x, precision: int) -> tuple[int, int]:
-    """Outward-rounded integer bounds (floor, ceil) of 2**precision * x."""
-    from mpmath.libmp import to_rational
-
-    (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x, precision))
-    return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
 
 # Binary floats as pairs (man, exp), the value man * 2**exp.  mpmath's
@@ -564,9 +556,10 @@ def torus_digit_tuple(
 ) -> tuple[int, ...] | None:
     """Digit tuple of a rational x read off the torus, or None if ambiguous.
 
-    Bounds log_b(x) by outward-rounded integers at scale 2**precision,
-    certifies k = floor(log_b x) when both bounds agree on it, and takes
-    the digit as floor(x / b**k) exactly.  Returns None when k cannot be
+    Bounds ln x = ln p - ln q (x = p/q) on the integer log tables and
+    log_b(x) by outward-rounded integers at scale 2**precision, certifies
+    k = floor(log_b x) when both bounds agree on it, and takes the digit
+    as floor(x / b**k) exactly.  Returns None when k cannot be
     certified (x is near a power of b); when it returns a tuple, it
     provably equals leading_digit_tuple(x, bases).
 
@@ -575,8 +568,10 @@ def torus_digit_tuple(
     """
     xr = as_positive_rational(x)
     bs = check_bases(bases)
-    ctx = _context(precision)
-    ln_x = _fixed(ctx.log(ctx.mpf(xr.numerator)) - ctx.log(ctx.mpf(xr.denominator)), precision)
+    _check_precision(precision)
+    (n_lo, n_hi), (d_lo, d_hi) = (_ln_floats(n, precision) for n in (xr.numerator, xr.denominator))
+    lo, hi = _add(n_lo, d_hi, precision, -1, -1), _add(n_hi, d_lo, precision, 1, -1)
+    ln_x = _scaled(lo, precision, -1), _scaled(hi, precision, 1)
     digits = []
     for b in bs:
         split = _log_table(b, precision).split(*ln_x, 1 << precision)
@@ -639,8 +634,9 @@ class CoverageReport(_Record):
     ``boundary_ambiguous`` counts samples whose rectangle could not be
     certified (always 0 for exact samplers).  ``measures`` holds the
     rectangle measure enclosure for every tuple of the codomain; the
-    deviations and the printed measures are read off its endpoint floats,
-    with no mpmath.
+    deviations and the printed measures are read off its endpoint floats
+    (a measure map's integer bounds, or the exact endpoints of the values
+    of any other mapping), with no mpmath arithmetic.
     """
 
     bases: tuple[int, ...]
@@ -669,17 +665,23 @@ class CoverageReport(_Record):
         """Per-tuple |empirical frequency - rectangle measure| (midpoint)."""
         out = {}
         for tup in self.measures:
-            lo, hi = map(_float, self.measures.bounds(tup))
+            lo, hi = map(_float, self._bounds(tup))
             out[tup] = abs(self.frequency(tup) - (lo + hi) / 2)
         return out
 
     def max_deviation(self) -> float:
         return max(self.deviations().values())
 
+    def _bounds(self, tup: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Endpoint floats (lo, hi) of a tuple's measure."""
+        if isinstance(self.measures, _MeasureMap):
+            return self.measures.bounds(tup)
+        return tuple((-man if sign else man, e) for sign, man, e, _ in self.measures[tup]._mpi_)
+
     def _measure_str(self, tup: tuple[int, ...], digits: int = 30) -> str:
         """mpmath.nstr of the midpoint of a tuple's measure, taken at
         precision + 16 bits."""
-        lo, hi = self.measures.bounds(tup)
+        lo, hi = self._bounds(tup)
         man, e = _add(lo, hi, self.precision + 16, 0)
         return _nstr(man, e - 1, digits)
 

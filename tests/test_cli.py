@@ -459,6 +459,20 @@ class TestUsageAndDeterminism:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("JOINTDIGITS_SCAN_CAP", "abc", ("witness", "--bases", "3,10", "--target", "2,9")),
+            ("JOINTDIGITS_SCAN_CAP", "", ("coverage", "--bases", "3,10", "--samples", "5")),
+            ("JOINTDIGITS_ENUM_CAP", "1e6", ("table", "--bases", "4,8")),
+        ],
+    )
+    def test_invalid_cap_variable_is_named(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be an integer, got {value!r}\n"
+
     def test_bad_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["coverage", "--bases", "3,10", "--samples", "5", "--sampler", "x"])

@@ -34,7 +34,8 @@ def test_every_demo_is_listed():
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_stdout(name):
     src = str(Path(jointdigits.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)], capture_output=True, env=env,
         cwd=ROOT, timeout=120,

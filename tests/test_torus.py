@@ -1,6 +1,7 @@
 """Torus-diagnostic tests: rectangles, measures, orbit sampling."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -44,7 +45,6 @@ from jointdigits.torus import (
     MAX_PRECISION,
     _context,
     _endpoints,
-    _fixed,
     _float,
     _ln_fixed,
     _log_table,
@@ -52,6 +52,22 @@ from jointdigits.torus import (
     _nstr,
     _van_der_corput,
 )
+
+
+def _fixed(x, precision: int) -> tuple[int, int]:
+    """Outward-rounded integer bounds (floor, ceil) of 2**precision * x."""
+    from mpmath.libmp import to_rational
+
+    (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x, precision))
+    return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
+
+
+def fresh_env() -> dict:
+    """Environment of a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def rational_iv(x: Fraction, ctx):
@@ -86,6 +102,21 @@ def interval_classify_parameter(t: Fraction, fv) -> tuple[int, ...] | None:
 
 distinct_bases = st.lists(st.integers(3, 60), min_size=1, max_size=3, unique=True)
 precisions = st.sampled_from((16, 24, 53, 128))
+TUPLE_PRECISIONS = (16, 17, 24, 53, 128, 1000, 4096)
+# a numerator or denominator up to 65,537 takes the integer log bounds, a
+# larger one mpmath's log
+sizes = st.integers(1, 70_000) | st.integers(1, 2**400)
+
+
+@st.composite
+def torus_points(draw):
+    """(x, bases): x = p/q, x below 1, or an exact power of one of the bases."""
+    bases = tuple(draw(distinct_bases))
+    kind = draw(st.sampled_from(("ratio", "below one", "power")))
+    if kind == "power":
+        return Fraction(draw(st.sampled_from(bases))) ** draw(st.integers(-30, 30)), bases
+    p, q = draw(sizes), draw(sizes)
+    return (Fraction(p, p + q) if kind == "below one" else Fraction(p, q)), bases
 
 
 def enclosure_contains(iv_value, value, precision=128) -> bool:
@@ -233,6 +264,25 @@ class TestTorusClassification:
     @settings(max_examples=300, deadline=None)
     def test_certified_torus_tuple_is_exact(self, bases, precision, x):
         got = torus_digit_tuple(x, bases, precision=precision)
+        if got is not None:
+            assert got == leading_digit_tuple(x, bases)
+
+    @given(point=torus_points(), precision=st.sampled_from(TUPLE_PRECISIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_mpmath_route(self, point, precision):
+        # the ln x bounds handed to every split, and the tuple, are those of
+        # ln x taken from mpmath's logs
+        x, bases = point
+        ln_x, split = set(), torus._LogTable.split
+
+        def spy(table, lo, hi, den):
+            ln_x.add((lo, hi))
+            return split(table, lo, hi, den)
+
+        with mock.patch.object(torus._LogTable, "split", spy):
+            got = torus_digit_tuple(x, bases, precision=precision)
+        assert ln_x == {mpmath_ln_x(x, precision)}
+        assert got == mpmath_torus_digit_tuple(x, bases, precision)
         if got is not None:
             assert got == leading_digit_tuple(x, bases)
 
@@ -434,6 +484,22 @@ class TestOrbitSample:
                                          "boundary_ambiguous": rep.samples})
         assert unclassified.frequency((1, 1)) == 0.0
 
+    @pytest.mark.parametrize("bases, sampler, precision", [
+        ((3, 5), "integer-scan", 128), ((3000, 3), "low-discrepancy", 16)])
+    def test_report_on_a_plain_dict_of_measures(self, bases, sampler, precision):
+        # a report may hold any mapping of measures; a plain dict of the same
+        # intervals prints the same bytes, negative low ends (3000 at 16
+        # bits) included
+        rep = orbit_sample(bases, 200, sampler, precision=precision)
+        plain = CoverageReport(**{**vars(rep), "measures": dict(rep.measures)})
+        assert plain == rep
+        assert json.dumps(plain.to_json_dict()) == json.dumps(rep.to_json_dict())
+        assert plain.to_csv_rows() == rep.to_csv_rows()
+        assert plain.deviations() == rep.deviations()
+        assert plain.max_deviation() == rep.max_deviation()
+        assert any(rep.measures.bounds(tup)[0][0] < 0 for tup in rep.measures) == (
+            bases == (3000, 3))
+
 
 # every torus entry point as the first call of a fresh interpreter: the
 # package imports no mpmath, so each enclosure site must load it itself
@@ -443,8 +509,8 @@ import time
 from fractions import Fraction
 from jointdigits import (CoverageReport, classify_parameter, frequency_vector,
     measure_map, orbit_sample, rectangle_of, torus_digit_tuple, total_measure)
-from jointdigits.torus import _fixed
-"""
+from jointdigits.torus import _endpoints
+""" + inspect.getsource(_fixed)
 
 
 @pytest.mark.parametrize(
@@ -464,16 +530,24 @@ def test_entry_point_first_in_fresh_interpreter(expr):
     namespace: dict = {}
     exec(FRESH_IMPORTS, namespace)
     expected = repr(eval(expr, namespace))
-    env = dict(os.environ)
-    src = str(Path(jointdigits.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          FRESH_IMPORTS + f"assert 'mpmath' not in sys.modules\nprint(repr({expr}))"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected + "\n"
+
+
+def test_torus_digit_tuple_loads_no_mpmath():
+    # ln 56 and ln 3 come from the integer log bounds, as ln 4 and ln 8 do
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORTS
+         + "print(torus_digit_tuple(Fraction(56, 3), (4, 8)), 'mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{leading_digit_tuple(Fraction(56, 3), (4, 8))} False\n"
 
 
 # --- the mpmath route, as the oracle of the integer tables --------------------
@@ -535,6 +609,23 @@ def mpmath_deviations(self):
 
 
 mpmath_log_table = lru_cache(maxsize=64)(MpmathLogTable)
+
+
+def mpmath_ln_x(x: Fraction, precision: int) -> tuple[int, int]:
+    """Integer bounds of 2**precision * ln x, from mpmath's interval ln p - ln q."""
+    ctx = _context(precision)
+    return _fixed(ctx.log(ctx.mpf(x.numerator)) - ctx.log(ctx.mpf(x.denominator)), precision)
+
+
+def mpmath_torus_digit_tuple(x: Fraction, bases, precision: int):
+    """torus_digit_tuple with ln x and every 1/ln b from mpmath."""
+    ln_x, digits = mpmath_ln_x(x, precision), []
+    for b in bases:
+        split = mpmath_log_table(b, precision).split(*ln_x, 1 << precision)
+        if split is None:
+            return None
+        digits.append(int(x / Fraction(b) ** split[0]))
+    return tuple(digits)
 
 
 @contextlib.contextmanager
@@ -684,8 +775,7 @@ class TestIntegerTablesMatchMpmath:
         assert fv.omega[0]._mpi_ == (_context(precision).one / mpmath_log_table(
             b, precision).log_b)._mpi_
         assert got == leading_digit_tuple(x, (b, 10))
-        with mpmath_route():
-            assert got == torus_digit_tuple(x, (b, 10), precision=precision)
+        assert got == mpmath_torus_digit_tuple(Fraction(x), (b, 10), precision)
 
 
 class TestMeasureMap:
@@ -797,11 +887,8 @@ print(json.dumps(out))
 def run_without_mpmath(queries):
     """[exit code or "ImportError", stdout] of each CLI query, in one fresh
     interpreter in which mpmath cannot be imported."""
-    env = dict(os.environ)
-    src = str(Path(jointdigits.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", NO_MPMATH, json.dumps(queries)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
