@@ -18,6 +18,11 @@ byte-identical stdout.
 Resource caps default to the library defaults and can be overridden with
 the environment variables JOINTDIGITS_ENUM_CAP (the combined base of table)
 and JOINTDIGITS_SCAN_CAP (the coverage sample count and the witness budget).
+A variable whose value is not an integer >= 1 is refused with an error that
+names it.
+
+main(argv) may be called repeatedly in one process: it builds its parser on
+the first call and reuses it, and it reads the cap variables on every call.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .digits import (
@@ -52,9 +58,12 @@ def _env_cap(name: str, default: int) -> int:
     """The cap set by the environment variable name, or the default."""
     text = os.environ.get(name, str(default))
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        cap = 0  # refused below, with the same message
+    if cap < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    return cap
 
 
 def _parse_bases(text: str) -> tuple[int, ...]:
@@ -134,6 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("text", "json", "csv"), default="json")
 
     return parser
+
+
+# parse_args never mutates its parser, so main builds one on its first call
+# and keeps it; build_parser still gives each caller a parser of its own
+_parser = lru_cache(maxsize=None)(build_parser)
 
 
 def _cmd_digit(args) -> int:
@@ -331,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

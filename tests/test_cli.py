@@ -1,5 +1,6 @@
 """CLI tests: subcommands, output formats, exit statuses, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -7,12 +8,13 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jointdigits.cli
@@ -465,13 +467,16 @@ class TestUsageAndDeterminism:
             ("JOINTDIGITS_SCAN_CAP", "abc", ("witness", "--bases", "3,10", "--target", "2,9")),
             ("JOINTDIGITS_SCAN_CAP", "", ("coverage", "--bases", "3,10", "--samples", "5")),
             ("JOINTDIGITS_ENUM_CAP", "1e6", ("table", "--bases", "4,8")),
+            ("JOINTDIGITS_SCAN_CAP", "-5", ("coverage", "--bases", "3,10", "--samples", "5")),
+            ("JOINTDIGITS_SCAN_CAP", "0", ("witness", "--bases", "3,10", "--target", "2,9")),
+            ("JOINTDIGITS_ENUM_CAP", "-1", ("table", "--bases", "4,8")),
         ],
     )
     def test_invalid_cap_variable_is_named(self, capsys, monkeypatch, name, value, argv):
         monkeypatch.setenv(name, value)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {name} must be an integer, got {value!r}\n"
+        assert err == f"error: {name} must be an integer >= 1, got {value!r}\n"
 
     def test_bad_sampler_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -493,6 +498,105 @@ class TestUsageAndDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def _outputs(argv, *choices):
+    return [(*argv, "--output", output) for output in choices]
+
+
+# every subcommand with every --output, every help and version screen, and
+# one of each kind of usage error
+ARGV_POOL = [
+    *_outputs(("digit", "--base", "10", "--x", "14/6"), "text", "json"),
+    *_outputs(("deps", "--bases", "4,8,10"), "text", "json"),
+    *_outputs(("image", "--bases", "4,8"), "text", "json"),
+    *_outputs(("table", "--bases", "4,8"), "text", "json"),
+    *_outputs(("witness", "--bases", "3,10", "--target", "2,9"), "text", "json"),
+    *_outputs(("coverage", "--bases", "3,10", "--samples", "50"), "text", "json", "csv"),
+    ("--help",),
+    *((command, "--help") for command in jointdigits.cli._HANDLERS),
+    ("--version",),
+    ("frobnicate",),
+    ("witness", "--bases", "3,10"),
+    ("coverage", "--bases", "3,10", "--samples", "5", "--sampler", "x"),
+    ("digit", "--base", "ten", "--x", "1"),
+]
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @given(st.lists(st.sampled_from(ARGV_POOL), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_fresh_parser_per_call(self, argvs):
+        # main parses every call with the parser of its first; the replaced
+        # route built a fresh parser for each call
+        jointdigits.cli._parser.cache_clear()
+        reused = [call(argv) for argv in argvs]
+        with mock.patch.object(jointdigits.cli, "_parser", jointdigits.cli.build_parser):
+            fresh = [call(argv) for argv in argvs]
+        assert reused == fresh
+
+    def test_builds_its_parsers_on_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        jointdigits.cli._parser.cache_clear()
+        counts = []
+        for argv in (
+            ("digit", "--base", "10", "--x", "1"),
+            ("deps", "--bases", "4,8"),
+            ("image", "--bases", "4,8"),
+        ):
+            before = len(built)
+            assert run(capsys, *argv)[0] == 0
+            counts.append(len(built) - before)
+        # the top-level parser and one per subcommand, then none
+        assert counts == [1 + len(jointdigits.cli._HANDLERS), 0, 0]
+
+    def test_build_parser_gives_each_caller_its_own(self, capsys):
+        argv = ("digit", "--base", "10", "--x", "1")
+        assert run(capsys, *argv) == (0, "1\n", "")
+        mine = jointdigits.cli.build_parser()
+        assert mine is not jointdigits.cli.build_parser()
+        # a subcommand's defaults override the top-level parser's, so the
+        # change that bites is made on the digit subparser
+        sub = next(a for a in mine._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices["digit"].set_defaults(output="json")
+        assert mine.parse_args(argv).output == "json"
+        assert run(capsys, *argv) == (0, "1\n", "")
+
+    def test_cap_variables_are_read_on_every_call(self, capsys, monkeypatch):
+        argv = ("coverage", "--bases", "3,10", "--samples", "100")
+        monkeypatch.delenv("JOINTDIGITS_SCAN_CAP", raising=False)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("JOINTDIGITS_SCAN_CAP", "10")
+        assert run(capsys, *argv) == (1, "", "error: n_samples 100 exceeds cap 10\n")
+
+    def test_import_builds_no_parser_and_one_query_builds_one(self):
+        out = run_fresh(
+            "import contextlib, io\n"
+            "import jointdigits.cli\n"
+            "print(jointdigits.cli._parser.cache_info().misses)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    jointdigits.cli.main(['digit', '--base', '10', '--x', '1'])\n"
+            "print(jointdigits.cli._parser.cache_info().misses)\n"
+        )
+        assert out == "0\n1\n"
 
 
 @pytest.mark.parametrize(
