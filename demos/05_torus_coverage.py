@@ -22,11 +22,11 @@ from jointdigits.torus import _endpoints
 print("=== rectangle geometry for bases (3, 10) ===")
 for target in [(1, 1), (2, 9)]:
     r = rectangle_of((3, 10), target)
-    lo, hi = _endpoints(r.measure(), 128)
+    lo, hi = _endpoints(r.measure())
     print(f"cell {target}: measure in [{float(lo):.12f}, {float(hi):.12f}]")
 
 total = total_measure((3, 10))
-lo, hi = _endpoints(total, 128)
+lo, hi = _endpoints(total)
 print(f"all 18 measures sum to 1 within {float(hi - lo):.2e} (certified enclosure)")
 
 print()

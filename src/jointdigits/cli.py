@@ -66,19 +66,15 @@ def _env_cap(name: str, default: int) -> int:
     return cap
 
 
-def _parse_bases(text: str) -> tuple[int, ...]:
-    try:
-        bases = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bases must be comma-separated integers, got {text!r}")
-    return check_bases(bases)
-
-
-def _parse_digits(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"target must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
+
+
+def _parse_bases(text: str) -> tuple[int, ...]:
+    return check_bases(_parse_ints(text, "bases"))
 
 
 def _emit_json(payload: dict) -> None:
@@ -233,31 +229,14 @@ def _cmd_table(args) -> int:
         f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
     )
     by_pair = table.runs_by_pair()
-    grid = [
-        [_run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]
+    # the header is the first row, so every row is laid out alike
+    rows = [["", *[f"j1={j1}" for j1 in range(1, b1)]]] + [
+        [f"j2={j2}", *[_run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]]
         for j2 in range(1, b2)
     ]
-    headers = [f"j1={j1}" for j1 in range(1, b1)]
-    label_w = max(len(f"j2={j2}") for j2 in range(1, b2))
-    widths = [
-        max(len(headers[c]), max(len(row[c]) for row in grid))
-        for c in range(b1 - 1)
-    ]
-    print(
-        (
-            " " * label_w
-            + "  "
-            + "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-        ).rstrip()
-    )
-    for j2, row in enumerate(grid, start=1):
-        print(
-            (
-                f"j2={j2}".ljust(label_w)
-                + "  "
-                + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-            ).rstrip()
-        )
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    for row in rows:
+        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     excluded = table.excluded()
     print(
         "excluded pairs: "
@@ -269,7 +248,7 @@ def _cmd_table(args) -> int:
 def _cmd_witness(args) -> int:
     query = WitnessQuery(
         bases=_parse_bases(args.bases),
-        target=_parse_digits(args.target),
+        target=_parse_ints(args.target, "target"),
         budget=args.budget,
         anchor=args.anchor,
         retry_other_anchors=not args.no_retry_anchors,

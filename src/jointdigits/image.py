@@ -295,12 +295,16 @@ def joint_table(
 
     D < b = base1**e2 = base2**e1, so the digit pair of D is the leading
     digit pair of the integer D, and the table is digit_runs over 1..b-1.
+    A combined base past ``cap`` is refused, and so, as in image_exact, are
+    more than DEFAULT_ENUMERATION_CAP digit pairs (base1 - 1) * (base2 - 1),
+    whatever ``cap`` is: the table's cells are the digit pairs.
 
     >>> t = joint_table(pair_dependence(4, 8))
     >>> t.cell(9), t.cell(1), t.cell(48)
     ((2, 1), (1, 1), (3, 6))
     """
     b = _check_power("combined base", dep.a, dep.e1 * dep.e2, cap)
+    _check_cap("digit pairs", (dep.base1 - 1) * (dep.base2 - 1), DEFAULT_ENUMERATION_CAP)
     runs = tuple(digit_runs((dep.base1, dep.base2), b - 1))
     return JointTable(dep=dep, combined_base=b, runs=runs)
 

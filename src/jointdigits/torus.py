@@ -105,12 +105,11 @@ def _context(precision: int):
     return ctx
 
 
-def _endpoints(x, precision: int):
-    """Exact mpf endpoints of an interval value."""
+def _endpoints(x):
+    """Exact mpf endpoints of an interval value, read from its raw floats."""
     import mpmath
 
-    with mpmath.mp.workprec(precision + 16):
-        return mpmath.mpf(x.a), mpmath.mpf(x.b)
+    return tuple(map(mpmath.mp.make_mpf, x._mpi_))
 
 
 # Binary floats as pairs (man, exp), the value man * 2**exp.  mpmath's
@@ -389,7 +388,7 @@ class FrequencyVector(_Record):
         """Largest enclosure half-width among the frequencies."""
         rad = 0.0
         for om in self.omega:
-            lo, hi = _endpoints(om, self.precision)
+            lo, hi = _endpoints(om)
             rad = max(rad, float(hi - lo) / 2)
         return rad
 
@@ -428,16 +427,17 @@ class Rectangle(_Record):
         """Classify an enclosed torus point: 'inside'/'outside'/'boundary'.
 
         ``point`` is a tuple of interval enclosures of fractional parts in
-        [0, 1).  'boundary' means the enclosures cannot certify membership
-        either way at this precision.
+        [0, 1), of any precision.  The exact endpoints of the point and of
+        the rectangle are compared, so no enclosure is rounded inward.
+        'boundary' means the enclosures cannot certify membership either way.
         """
         if len(point) != len(self.bases):
             raise ValueError("point dimension does not match rectangle")
         certain_in = True
         for t, lo, hi in zip(point, self.lows, self.highs):
-            t_lo, t_hi = _endpoints(t, self.precision)
-            lo_lo, lo_hi = _endpoints(lo, self.precision)
-            hi_lo, hi_hi = _endpoints(hi, self.precision)
+            t_lo, t_hi = _endpoints(t)
+            lo_lo, lo_hi = _endpoints(lo)
+            hi_lo, hi_hi = _endpoints(hi)
             if t_hi < lo_lo or t_lo >= hi_hi:
                 return "outside"
             if not (t_lo >= lo_hi and t_hi < hi_lo):

@@ -238,7 +238,7 @@ def test_criterion_7_decidable_negatives():
 def test_criterion_8_torus_diagnostics():
     for bases in [(4, 8), (3, 10), (5, 7, 11)]:
         total = total_measure(bases, precision=128)
-        lo, hi = _endpoints(total, 128)
+        lo, hi = _endpoints(total)
         with mpmath.mp.workprec(200):
             tol = mpmath.mpf(2) ** -64
             assert 1 - tol <= lo <= 1 <= hi <= 1 + tol, bases

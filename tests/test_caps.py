@@ -25,6 +25,7 @@ from jointdigits import (
     joint_table,
     measure_map,
     orbit_sample,
+    pair_dependence,
     pairwise_report,
     primitive_root,
     rectangle_of,
@@ -37,6 +38,7 @@ from jointdigits.errors import _check_cap, _check_power
 OVER_CAP = {
     "primitive_root": lambda: primitive_root(1 << 2048),
     "joint_table": lambda: joint_table(DependencePair(2, 10**6, 3)),
+    "joint_table digit pairs": lambda: joint_table(pair_dependence(4096, 2**24)),
     "image_exact": lambda: image_exact(5000, 5001, allow_independent=True),
     "measure_map": lambda: measure_map((300, 301)),
     "orbit_sample samples": lambda: orbit_sample((3, 10), 10**9),

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jointdigits.cli
@@ -191,6 +191,80 @@ class TestTable:
         monkeypatch.setenv("JOINTDIGITS_ENUM_CAP", "50")
         code, _, err = run(capsys, "table", "--bases", "4,8")
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_digit_pairs_past_the_cap_refused_at_once(self, capsys, output):
+        # the combined base 2**24 is at its cap, but the grid would hold
+        # 4095 * (2**24 - 1) cells: refused as image refuses it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", "--bases", "4096,16777216", "--output", output)
+        assert (code, out, err) == (1, "", "error: digit pairs 68702695425 exceeds cap 16777216\n")
+        assert time.perf_counter() - start < 5
+
+
+def _table_text_oracle(b1, b2):
+    """table's text stdout, laid out as before the header became a row of the grid."""
+    table = joint_table(pair_dependence(b1, b2))
+    lines = [
+        f"bases ({b1},{b2})  combined base {table.combined_base}"
+        f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
+    ]
+    by_pair = table.runs_by_pair()
+    grid = [
+        [jointdigits.cli._run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]
+        for j2 in range(1, b2)
+    ]
+    headers = [f"j1={j1}" for j1 in range(1, b1)]
+    label_w = max(len(f"j2={j2}") for j2 in range(1, b2))
+    widths = [
+        max(len(headers[c]), max(len(row[c]) for row in grid))
+        for c in range(b1 - 1)
+    ]
+    lines.append(
+        (" " * label_w + "  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths))).rstrip()
+    )
+    for j2, row in enumerate(grid, start=1):
+        lines.append(
+            (
+                f"j2={j2}".ljust(label_w)
+                + "  "
+                + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+            ).rstrip()
+        )
+    excluded = table.excluded()
+    lines.append(
+        "excluded pairs: "
+        + (" ".join(f"({a},{b})" for a, b in excluded) if excluded else "none")
+    )
+    return "".join(line + "\n" for line in lines)
+
+
+# every dependent pair, in both orientations, whose combined base is at most 2**12:
+# distinct dependent bases share a canonical root a <= 2**6
+DEPENDENT_PAIRS = sorted({
+    (b1, b2)
+    for a in range(2, 2**6 + 1)
+    for b1 in (a**e for e in range(1, 13) if 3 <= a**e <= 2**12)
+    for b2 in (a**e for e in range(1, 13) if 3 <= a**e <= 2**12)
+    if b1 != b2 and pair_dependence(b1, b2).combined_base <= 2**12
+})
+
+
+class TestTableGrid:
+    def test_dependent_pairs_are_complete(self):
+        assert len(DEPENDENT_PAIRS) == 186
+        assert {(4, 8), (8, 4), (4, 4096), (4096, 64), (63, 3969)} <= set(DEPENDENT_PAIRS)
+
+    @given(st.sampled_from(DEPENDENT_PAIRS))
+    # the TABLE_MEDIUM pairs of the exact-image benchmark
+    @example((512, 8))
+    @example((625, 5))
+    @example((5, 625))
+    # the largest grids, about 2.6e5 cells, take 1.5 s to lay out both ways
+    @settings(max_examples=20, deadline=None)
+    def test_text_matches_the_separate_header_layout(self, pair):
+        b1, b2 = pair
+        assert call(("table", "--bases", f"{b1},{b2}")) == (0, _table_text_oracle(b1, b2), "")
 
 
 class TestImage:

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jointdigits.digits
+import jointdigits.witness
 from jointdigits import (
     WitnessQuery,
     digit_runs,
@@ -235,6 +236,17 @@ class TestReturnTimes:
                 seen |= {y - x for x, y in zip(hits, hits[1:])}
             assert seen <= set(gaps), (anchor_base, b, j)
             assert min(seen) == gaps[0]
+
+    def test_a_jump_onto_a_miss_raises(self, monkeypatch):
+        # return times each one too long land between two hits of base 10,
+        # which the scan's self-check reports rather than skip a hit
+        true_gaps = _return_gaps
+        monkeypatch.setattr(jointdigits.witness, "_return_gaps",
+                            lambda *args: tuple(g + 1 for g in true_gaps(*args)))
+        with pytest.raises(RuntimeError) as raised:
+            _scan_anchor((3, 10, 7), (2, 9, 5), 0, 5000)
+        assert str(raised.value) == ("base 10 misses at k = 59, one of the return "
+                                     "times (22, 24, 45) after one of its hits")
 
     def test_returns_past_the_limit_give_the_linear_gap(self):
         assert _return_gaps(7, 17, 16, 20) == (1,)

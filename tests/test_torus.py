@@ -58,7 +58,7 @@ def _fixed(x, precision: int) -> tuple[int, int]:
     """Outward-rounded integer bounds (floor, ceil) of 2**precision * x."""
     from mpmath.libmp import to_rational
 
-    (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x, precision))
+    (p_lo, q_lo), (p_hi, q_hi) = (to_rational(v._mpf_) for v in _endpoints(x))
     return (p_lo << precision) // q_lo, -((-p_hi << precision) // q_hi)
 
 
@@ -76,7 +76,7 @@ def rational_iv(x: Fraction, ctx):
 
 def interval_floor(x, precision: int) -> int | None:
     """floor(x) when both interval endpoints agree on it, else None."""
-    lo, hi = _endpoints(x, precision)
+    lo, hi = _endpoints(x)
     with mpmath.mp.workprec(precision + 16):
         fl, fh = int(mpmath.floor(lo)), int(mpmath.floor(hi))
     return fl if fl == fh else None
@@ -120,7 +120,7 @@ def torus_points(draw):
 
 
 def enclosure_contains(iv_value, value, precision=128) -> bool:
-    lo, hi = _endpoints(iv_value, precision)
+    lo, hi = _endpoints(iv_value)
     with mpmath.mp.workprec(precision + 16):
         v = mpmath.mpf(value) if not isinstance(value, Fraction) else (
             mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
@@ -128,8 +128,8 @@ def enclosure_contains(iv_value, value, precision=128) -> bool:
         return lo <= v <= hi
 
 
-def enclosure_width(iv_value, precision=128) -> float:
-    lo, hi = _endpoints(iv_value, precision)
+def enclosure_width(iv_value) -> float:
+    lo, hi = _endpoints(iv_value)
     return float(hi - lo)
 
 
@@ -158,7 +158,7 @@ class TestRectangle:
                 mpmath.log(3) - mpmath.log(2)
             ) / mpmath.log(3) * ((mpmath.log(10) - mpmath.log(9)) / mpmath.log(10))
         assert enclosure_contains(r.measure(), expected)
-        lo, _ = _endpoints(r.measure(), 128)
+        lo, _ = _endpoints(r.measure())
         assert lo > 0
 
     def test_contains_classification(self):
@@ -178,6 +178,18 @@ class TestRectangle:
         )
         assert r.contains(at_high_edge) in ("outside", "boundary")
 
+    def test_contains_reads_a_finer_point_exactly(self):
+        # a 200-bit point against a 16-bit rectangle: coordinate 1 straddles
+        # e, the high end of the enclosure of its low edge, by 2**-60 each way;
+        # rounded to 32 bits that point shrank to e and was certified inside
+        r = rectangle_of((3, 10), (2, 5), precision=16)
+        ctx = _context(200)
+        e = mpmath.mp.make_mpf(r.lows[1]._mpi_[1])
+        with mpmath.mp.workprec(200):
+            straddling = ctx.mpf([e - mpmath.mpf(2) ** -60, e + mpmath.mpf(2) ** -60])
+        assert r.contains((rational_iv(Fraction(4, 5), ctx), straddling)) == "boundary"
+        assert r.contains((rational_iv(Fraction(4, 5), ctx), ctx.mpf(e))) == "inside"
+
     def test_dimension_mismatch(self):
         ctx = _context(128)
         r = rectangle_of((4, 8), (1, 1))
@@ -195,7 +207,7 @@ class TestMeasures:
     @pytest.mark.parametrize("bases", [(4, 8), (3, 10), (5, 7, 11)])
     def test_normalization(self, bases):
         total = total_measure(bases)
-        lo, hi = _endpoints(total, 128)
+        lo, hi = _endpoints(total)
         with mpmath.mp.workprec(200):
             # 1 - 2**-64 rounds to 1.0 in double precision; compare carefully
             tol = mpmath.mpf(2) ** -64
@@ -205,8 +217,8 @@ class TestMeasures:
         mm = measure_map((4, 8))
         for tup, m in list(mm.items())[:5]:
             r = rectangle_of((4, 8), tup)
-            lo1, hi1 = _endpoints(m, 128)
-            lo2, hi2 = _endpoints(r.measure(), 128)
+            lo1, hi1 = _endpoints(m)
+            lo2, hi2 = _endpoints(r.measure())
             # same quantity by two computations: enclosures overlap
             assert max(lo1, lo2) <= min(hi1, hi2)
 
@@ -302,7 +314,7 @@ class TestTorusClassification:
             point = []
             for om in fv.omega:
                 y = t_iv * om
-                lo, _ = _endpoints(y, fv.precision)
+                lo, _ = _endpoints(y)
                 point.append(y - int(mpmath.floor(lo)))
             assert rectangle_of((3, 10), tup).contains(tuple(point)) != "outside"
 
@@ -596,14 +608,14 @@ def mpmath_measure_map(bases, precision=torus.DEFAULT_PRECISION, cap=torus.DEFAU
 
 def mpmath_measure_str(self, tup, digits=30):
     with mpmath.mp.workprec(self.precision + 16):
-        lo, hi = _endpoints(self.measures[tup], self.precision)
+        lo, hi = _endpoints(self.measures[tup])
         return mpmath.nstr((lo + hi) / 2, digits)
 
 
 def mpmath_deviations(self):
     out = {}
     for tup, m in self.measures.items():
-        lo, hi = _endpoints(m, self.precision)
+        lo, hi = _endpoints(m)
         out[tup] = abs(self.frequency(tup) - (float(lo) + float(hi)) / 2)
     return out
 
