@@ -33,6 +33,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import chain
 
 from . import __version__
 from .digits import (
@@ -47,7 +48,7 @@ from .digits import (
 )
 from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
-from .image import image_exact, joint_table
+from .image import _gaps, image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
 from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
@@ -162,15 +163,14 @@ def _cmd_deps(args) -> int:
     if args.output == "json":
         _emit_json(report.to_json_dict())
         return 0
-    for i, j, dep in report.dependent_pairs:
-        print(
-            f"{report.bases[i]} ~ {report.bases[j]}: dependent, "
-            f"a={dep.a} e1={dep.e1} e2={dep.e2} combined_base={dep.combined_base}"
-        )
-    print(
-        "all pairwise independent: "
-        + ("yes" if report.all_pairwise_independent else "no")
-    )
+    # format every line first: a combined base past its cap leaves stdout empty
+    lines = [
+        f"{report.bases[i]} ~ {report.bases[j]}: dependent, "
+        f"a={dep.a} e1={dep.e1} e2={dep.e2} combined_base={dep.combined_base}"
+        for i, j, dep in report.dependent_pairs
+    ]
+    independent = "yes" if report.all_pairwise_independent else "no"
+    print("\n".join([*lines, f"all pairwise independent: {independent}"]))
     return 0
 
 
@@ -200,15 +200,6 @@ def _cmd_image(args) -> int:
     return 0
 
 
-def _run_segments(runs: list[tuple[int, int]]) -> str:
-    if not runs:
-        return "."
-    parts = []
-    for start, stop in runs:
-        parts.append(str(start) if stop == start + 1 else f"{start}-{stop - 1}")
-    return ",".join(parts)
-
-
 def _cmd_table(args) -> int:
     bases = _parse_bases(args.bases)
     if len(bases) != 2:
@@ -228,20 +219,24 @@ def _cmd_table(args) -> int:
         f"bases ({b1},{b2})  combined base {table.combined_base}"
         f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
     )
-    by_pair = table.runs_by_pair()
-    # the header is the first row, so every row is laid out alike
-    rows = [["", *[f"j1={j1}" for j1 in range(1, b1)]]] + [
-        [f"j2={j2}", *[_run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]]
-        for j2 in range(1, b2)
-    ]
-    widths = [max(map(len, col)) for col in zip(*rows)]
-    for row in rows:
+    segments = {
+        pair: ",".join([str(s) if t == s + 1 else f"{s}-{t - 1}" for s, t in runs])
+        for pair, runs in table.runs_by_pair().items()
+    }
+    # "." never outgrows a "j1=N" header, so the headers and the present
+    # pairs' segments fix every width, and each row prints as it is built
+    header = ["", *[f"j1={j1}" for j1 in range(1, b1)]]
+    widths = [len(f"j2={b2 - 1}"), *map(len, header[1:])]
+    for (j1, _), segment in segments.items():
+        widths[j1] = max(widths[j1], len(segment))
+    rows = ([f"j2={j2}", *[segments.get((j1, j2), ".") for j1 in range(1, b1)]]
+            for j2 in range(1, b2))
+    for row in chain([header], rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    excluded = table.excluded()
-    print(
-        "excluded pairs: "
-        + (" ".join(f"({a},{b})" for a, b in excluded) if excluded else "none")
-    )
+    # one join per span of excluded pairs along a j1 row
+    gaps = [f"({j1}," + f") ({j1},".join(map(str, range(lo, hi))) + ")"
+            for j1, lo, hi in _gaps(segments, dep)]
+    print("excluded pairs: " + (" ".join(gaps) or "none"))
     return 0
 
 

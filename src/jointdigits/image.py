@@ -194,6 +194,13 @@ def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
             yield major, lo, n_minor, False
 
 
+def _gaps(pairs, dep: DependencePair) -> Iterator[tuple[int, int, int]]:
+    """(j1, lo, hi) of each maximal span of excluded pairs (j1, lo..hi-1), sorted,
+    from the image's ``pairs`` in O(len(pairs) + base1) steps."""
+    return ((j1, lo, hi) for j1, lo, hi, hit in _spans(sorted(pairs), dep.base1, dep.base2)
+            if not hit)
+
+
 class JointTable(_Record):
     """Joint digit pair as a function of the combined-base leading digit.
 
@@ -214,56 +221,51 @@ class JointTable(_Record):
         return tuple(chain.from_iterable(repeat(p, t - s) for s, t, p in self.runs))
 
     def cell(self, D: int) -> tuple[int, int]:
-        if not 1 <= D <= self.combined_base - 1:
-            raise ValueError(
-                f"combined-base digit must be in 1..{self.combined_base - 1}, got {D}"
-            )
+        check_digit(D, self.combined_base)
         return self.runs[bisect_right(self.runs, D, key=lambda run: run[0]) - 1][2]
 
     def image(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for _, _, p in self.runs)
 
     def runs_by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """Runs [start, stop) of every digit pair, j2-major; [] if excluded."""
-        b1, b2 = self.dep.base1, self.dep.base2
-        out = {(j1, j2): [] for j2 in range(1, b2) for j1 in range(1, b1)}
+        """The runs [start, stop) of each pair in the image, ascending, in one
+        pass over ``runs``: an excluded pair has no key, so the dict is O(runs)."""
+        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for start, stop, pair in self.runs:
-            out[pair].append((start, stop))
+            out.setdefault(pair, []).append((start, stop))
         return out
 
     def excluded(self) -> list[tuple[int, int]]:
         """The digit pairs outside the image, sorted."""
-        image, b1, b2 = self.image(), self.dep.base1, self.dep.base2
-        return [(j1, j2) for j1 in range(1, b1) for j2 in range(1, b2) if (j1, j2) not in image]
+        return [(j1, j2) for j1, lo, hi in _gaps(self.runs_by_pair(), self.dep)
+                for j2 in range(lo, hi)]
 
     def member_runs(self, j1: int, j2: int) -> list[tuple[int, int]]:
-        """The maximal runs [start, stop) of digits mapping to (j1, j2)."""
+        """The maximal runs [start, stop) of digits mapping to (j1, j2), ascending;
+        [] for a pair outside the image."""
         check_digit(j1, self.dep.base1)
         check_digit(j2, self.dep.base2)
-        return [(start, stop) for start, stop, pair in self.runs if pair == (j1, j2)]
+        return self.runs_by_pair().get((j1, j2), [])
 
     def to_json_text(self) -> str:
         """The table's JSON: ``bases``, ``combined_base``, ``dependence``, the
         ``cells`` {j1, j2, runs} j2-major (runs [] if excluded) and the sorted
         ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
 
-        Written straight from the runs: each cell with runs is one string,
-        each span of empty cells along a j2 row one join.
+        Written straight from ``runs_by_pair``: each cell with runs is one
+        string, each span of empty cells along a j2 row one join.
         """
         b1, b2 = self.dep.base1, self.dep.base2
-        runs_of: dict[tuple[int, int], list[str]] = {}
-        for start, stop, (j1, j2) in self.runs:
-            runs_of.setdefault((j2, j1), []).append(f"[{start}, {stop}]")
+        by_pair = self.runs_by_pair()
         j1s, j2s = list(map(str, range(b1))), list(map(str, range(b2)))  # str(j) at index j
         cells = []
-        for j2, lo, hi, hit in _spans(sorted(runs_of), b2, b1):
+        for j2, lo, hi, hit in _spans(sorted((j2, j1) for j1, j2 in by_pair), b2, b1):
             if hit:
-                cells.append(f'{{"j1": {lo}, "j2": {j2}, "runs": [{", ".join(runs_of[j2, lo])}]}}')
+                runs = ", ".join([f"[{start}, {stop}]" for start, stop in by_pair[lo, j2]])
+                cells.append(f'{{"j1": {lo}, "j2": {j2}, "runs": [{runs}]}}')
             else:
                 cells.append(_joined('{"j1": ', j1s[lo:hi], f', "j2": {j2}, "runs": []}}'))
-        excluded = [_joined(f"[{j1}, ", j2s[lo:hi], "]")
-                    for j1, lo, hi, hit in _spans(sorted((j1, j2) for j2, j1 in runs_of), b1, b2)
-                    if not hit]
+        excluded = [_joined(f"[{j1}, ", j2s[lo:hi], "]") for j1, lo, hi in _gaps(by_pair, self.dep)]
         return (f'{{"bases": [{b1}, {b2}], "cells": [{", ".join(cells)}], '
                 f'"combined_base": {self.combined_base}, '
                 f'"dependence": {json.dumps(self.dep.to_json_dict(), sort_keys=True)}, '
@@ -370,8 +372,8 @@ class ImageReport(_Record):
         return (self.bases[0] - 1) * (self.bases[1] - 1) - exc, exc
 
     def certificate_for(self, j1: int, j2: int) -> int | None:
-        if not (1 <= j1 < self.bases[0] and 1 <= j2 < self.bases[1]):
-            raise ValueError(f"no verdict for pair {(j1, j2)}")
+        check_digit(j1, self.bases[0])
+        check_digit(j2, self.bases[1])
         row = self.rows[j1 - 1]
         return row[bisect_right(row, j2, key=lambda iv: iv[0]) - 1][2] if self.dependence else None
 

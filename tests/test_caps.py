@@ -113,6 +113,15 @@ def test_ranges_refuse_before_building():
     assert _peak_bytes(lambda: digit_set_ranges(3, 8000, 1)) < 1 << 20
 
 
+def test_table_text_grid_holds_no_structure_per_digit_pair(capsys):
+    # 16,4096 has 61,425 digit pairs and prints 0.9 MB; a dict entry, a run
+    # list and a row cell per pair peaked at about 21 MB before the first line
+    peak = _peak_bytes(lambda: main(["table", "--bases", "16,4096"]))
+    out, err = capsys.readouterr()
+    assert (len(out), err) == (933_911, "")
+    assert peak < 8 << 20
+
+
 def test_one_rectangle_of_a_large_base_needs_no_edge_table():
     r = rectangle_of((100003,), (5,))
     assert 0 < float(r.measure().a) < 1

@@ -143,6 +143,14 @@ class TestDeps:
         assert (code, out) == (1, "") and err.startswith("error:") and "cap" in err
         assert time.perf_counter() - start < 5
 
+    def test_combined_base_past_the_cap_leaves_stdout_empty(self, capsys):
+        # five dependent pairs print fine; the sixth, 2**2039 ~ 2**2029, has a
+        # combined base of 2**4137131 and is refused before any line is out
+        argv = ("deps", "--bases", f"4,8,{2**2039},{2**2029}")
+        results = [run(capsys, *argv, "--output", output) for output in ("text", "json")]
+        err = "error: combined base 2**4137131 exceeds cap of 14281 bits\n"
+        assert results == [(1, "", err), (1, "", err)]
+
 
 class TestTable:
     def test_golden_grid(self, capsys):
@@ -202,16 +210,27 @@ class TestTable:
         assert time.perf_counter() - start < 5
 
 
+def _run_segments(runs):
+    """A grid cell: each run as "start" or "start-last", "." for no run."""
+    if not runs:
+        return "."
+    return ",".join(str(start) if stop == start + 1 else f"{start}-{stop - 1}"
+                    for start, stop in runs)
+
+
 def _table_text_oracle(b1, b2):
-    """table's text stdout, laid out as before the header became a row of the grid."""
+    """table's text stdout, laid out as before the header became a row of the grid,
+    from a dense grouping of the runs with one entry per digit pair."""
     table = joint_table(pair_dependence(b1, b2))
     lines = [
         f"bases ({b1},{b2})  combined base {table.combined_base}"
         f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
     ]
-    by_pair = table.runs_by_pair()
+    by_pair = {(j1, j2): [] for j2 in range(1, b2) for j1 in range(1, b1)}
+    for start, stop, pair in table.runs:
+        by_pair[pair].append((start, stop))
     grid = [
-        [jointdigits.cli._run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]
+        [_run_segments(by_pair[(j1, j2)]) for j1 in range(1, b1)]
         for j2 in range(1, b2)
     ]
     headers = [f"j1={j1}" for j1 in range(1, b1)]
@@ -231,7 +250,7 @@ def _table_text_oracle(b1, b2):
                 + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
             ).rstrip()
         )
-    excluded = table.excluded()
+    excluded = [pair for pair in sorted(by_pair) if not by_pair[pair]]
     lines.append(
         "excluded pairs: "
         + (" ".join(f"({a},{b})" for a, b in excluded) if excluded else "none")

@@ -157,17 +157,32 @@ def image_json_oracle(report):
     }
 
 
+def dense_runs_oracle(table):
+    """Oracle: the runs [start, stop) of every digit pair, j2-major, [] if excluded."""
+    b1, b2 = table.dep.base1, table.dep.base2
+    out = {(j1, j2): [] for j2 in range(1, b2) for j1 in range(1, b1)}
+    for start, stop, pair in table.runs:
+        out[pair].append((start, stop))
+    return out
+
+
+def dense_excluded_oracle(table):
+    """Oracle: every digit pair in no run, by a scan of all (base1 - 1) * (base2 - 1)."""
+    image, b1, b2 = {p for _, _, p in table.runs}, table.dep.base1, table.dep.base2
+    return [(j1, j2) for j1 in range(1, b1) for j2 in range(1, b2) if (j1, j2) not in image]
+
+
 def table_json_oracle(table):
-    """Oracle: the joint table's JSON as one dict per cell, from runs_by_pair."""
+    """Oracle: the joint table's JSON as one dict per cell, from the dense oracles."""
     return {
         "bases": [table.dep.base1, table.dep.base2],
         "dependence": table.dep.to_json_dict(),
         "combined_base": table.combined_base,
         "cells": [
             {"j1": j1, "j2": j2, "runs": [list(r) for r in runs]}
-            for (j1, j2), runs in table.runs_by_pair().items()
+            for (j1, j2), runs in dense_runs_oracle(table).items()
         ],
-        "excluded": [list(p) for p in table.excluded()],
+        "excluded": [list(p) for p in dense_excluded_oracle(table)],
     }
 
 
@@ -332,6 +347,11 @@ class TestJointTable:
             with pytest.raises(ValueError, match="1..63"):
                 table.cell(D)
 
+    @pytest.mark.parametrize("D", [True, False, 1.5, 9.0, "9"])
+    def test_cell_refuses_bools_and_non_ints(self, D):
+        with pytest.raises(TypeError):
+            joint_table(pair_dependence(4, 8)).cell(D)
+
     def test_full_table_against_digit_set_oracle(self):
         dep = pair_dependence(4, 8)
         table = joint_table(dep)
@@ -369,6 +389,34 @@ class TestJointTable:
     def test_json_round_trip(self):
         table = joint_table(pair_dependence(4, 8))
         assert JointTable.from_json_dict(table.to_json_dict()) == table
+
+    def test_runs_by_pair_keys_the_image_only(self):
+        table = joint_table(pair_dependence(4, 8))
+        assert table.runs_by_pair() == {
+            (1, 1): [(1, 2)], (2, 1): [(8, 12)], (3, 1): [(12, 16)],
+            (1, 2): [(16, 24)], (2, 2): [(2, 3)], (1, 3): [(24, 32)],
+            (3, 3): [(3, 4)], (1, 4): [(4, 5)], (2, 4): [(32, 40)],
+            (1, 5): [(5, 6)], (2, 5): [(40, 48)], (1, 6): [(6, 7)],
+            (3, 6): [(48, 56)], (1, 7): [(7, 8)], (3, 7): [(56, 64)],
+        }
+
+    @given(dep=st.sampled_from(SMALL_DEPENDENCES))
+    @example(dep=pair_dependence(4, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_grouping_matches_dense_oracles(self, dep):
+        # each dependence in both orientations, (base1, base2) and (base2, base1)
+        for d in (dep, DependencePair(a=dep.a, e1=dep.e2, e2=dep.e1)):
+            table = joint_table(d)
+            dense = dense_runs_oracle(table)
+            present = {pair: runs for pair, runs in dense.items() if runs}
+            assert table.runs_by_pair() == present
+            # member_runs costs O(runs): every pair of a small table, an even
+            # spread of at most 2e5 / runs pairs of a larger one
+            step = -(-len(dense) * len(table.runs) // 200_000)
+            for (j1, j2), runs in list(dense.items())[::step]:
+                assert table.member_runs(j1, j2) == runs
+            assert table.excluded() == dense_excluded_oracle(table)
+            assert table.image() == frozenset(present) == frozenset(dense_table_oracle(d))
 
     @given(dep=st.sampled_from(SMALL_DEPENDENCES))
     @settings(max_examples=60, deadline=None)
@@ -582,6 +630,12 @@ class TestImageExact:
         report = image_exact(4, 8)
         for pair in [(0, 1), (4, 1), (1, 0), (1, 8)]:
             with pytest.raises(ValueError):
+                report.certificate_for(*pair)
+
+    @pytest.mark.parametrize("pair", [(True, 1), (1, True), (1.5, 2), (2, 1.0), ("1", 1)])
+    def test_certificate_for_refuses_bools_and_non_ints(self, pair):
+        for report in (image_exact(4, 8), image_exact(61, 97, allow_independent=True)):
+            with pytest.raises(TypeError):
                 report.certificate_for(*pair)
 
     def test_verdict_round_trip(self):
