@@ -48,7 +48,7 @@ from .digits import (
 )
 from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
-from .image import _gaps, image_exact, joint_table
+from .image import _gaps, _joined, image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
 from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
@@ -76,10 +76,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _parse_bases(text: str) -> tuple[int, ...]:
     return check_bases(_parse_ints(text, "bases"))
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +148,7 @@ def _cmd_digit(args) -> int:
     _, n, den = _split(*_parse_terms(args.x), check_base(args.base))
     d = n // den
     if args.output == "json":
-        _emit_json({"base": args.base, "x": args.x.strip(), "digit": d})
+        print(json.dumps({"base": args.base, "x": args.x.strip(), "digit": d}, sort_keys=True))
     else:
         print(d)
     return 0
@@ -161,7 +157,7 @@ def _cmd_digit(args) -> int:
 def _cmd_deps(args) -> int:
     report = pairwise_report(_parse_bases(args.bases))
     if args.output == "json":
-        _emit_json(report.to_json_dict())
+        print(report.to_json_text())
         return 0
     # format every line first: a combined base past its cap leaves stdout empty
     lines = [
@@ -194,7 +190,7 @@ def _cmd_image(args) -> int:
     # one join per excluded interval of a row
     j2s = list(map(str, range(bases[1])))
     print("".join(
-        f"excluded: ({j1}," + f")\nexcluded: ({j1},".join(j2s[start:stop]) + ")\n"
+        _joined(f"excluded: ({j1},", j2s[start:stop], ")\n", sep="")
         for j1, row in enumerate(report.rows, 1) for start, stop, c in row if c is None
     ), end="")
     return 0
@@ -234,7 +230,7 @@ def _cmd_table(args) -> int:
     for row in chain([header], rows):
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     # one join per span of excluded pairs along a j1 row
-    gaps = [f"({j1}," + f") ({j1},".join(map(str, range(lo, hi))) + ")"
+    gaps = [_joined(f"({j1},", map(str, range(lo, hi)), ")", sep=" ")
             for j1, lo, hi in _gaps(segments, dep)]
     print("excluded pairs: " + (" ".join(gaps) or "none"))
     return 0
@@ -250,7 +246,7 @@ def _cmd_witness(args) -> int:
     )
     result = find_witness(query, budget_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
     if args.output == "json":
-        _emit_json(result.to_json_dict())
+        print(result.to_json_text())
         return 0
     if result.outcome == "found":
         print(f"found x={_format_decimal(result.x)} (anchor {result.anchor_index}, k={result.k})")
@@ -277,7 +273,7 @@ def _cmd_coverage(args) -> int:
         sample_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP),
     )
     if args.output == "json":
-        _emit_json(report.to_json_dict())
+        print(report.to_json_text())
         return 0
     if args.output == "csv":
         writer = csv.writer(sys.stdout)

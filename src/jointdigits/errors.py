@@ -60,16 +60,16 @@ def _json_reader(rebuild):
     ``rebuild`` reads the payload's key fields, checks sizes against the caps
     and rebuilds the object through its constructors, coercing passed-through
     numbers with ``operator.index``.  d is accepted only if its sorted-key
-    ``json.dumps`` is exactly that of the object's ``to_json_dict()``, its
-    canonical text, so no float, bool, non-canonical string or extra key
-    gets through.  A missing key or a value of the wrong JSON type is a
+    ``json.dumps`` is exactly the object's ``to_json_text()``, the line the
+    CLI prints, so no float, bool, non-canonical string or extra key gets
+    through.  A missing key or a value of the wrong JSON type is a
     ValueError; ResourceLimitError passes through.
     """
     @wraps(rebuild)
     def from_json_dict(cls, d):
         try:
             obj = rebuild(cls, d)
-            if json.dumps(d, sort_keys=True) != json.dumps(obj.to_json_dict(), sort_keys=True):
+            if json.dumps(d, sort_keys=True) != obj.to_json_text():
                 raise ValueError(f"payload is not the canonical JSON of its {cls.__name__}")
         except (KeyError, TypeError, IndexError) as e:
             raise ValueError(f"malformed {cls.__name__} payload: {e!r}") from e
@@ -106,6 +106,10 @@ class _Record:
              f"def _key(self): return ({key})", ns)
         cls.__init__, cls._key = ns["__init__"], ns["_key"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def to_json_text(self) -> str:
+        """The record's canonical JSON: one sorted-key line, as the CLI prints it."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

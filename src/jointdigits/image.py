@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 from operator import index
 
@@ -31,6 +31,7 @@ from .digits import (
     check_base,
     check_digit,
     digit_runs,
+    digit_set_ranges,
 )
 from .errors import IndependentBasesError, _Record, _check_cap, _check_power, _json_reader
 
@@ -168,9 +169,9 @@ def attainable_by_power_criterion(
     )
 
 
-def _joined(prefix: str, items: list[str], suffix: str) -> str:
-    """prefix + item + suffix for every item, joined by ", ", in one C-level join."""
-    return prefix + (suffix + ", " + prefix).join(items) + suffix
+def _joined(prefix: str, items: Iterable[str], suffix: str, sep: str = ", ") -> str:
+    """prefix + item + suffix for every item, joined by sep, in one C-level join."""
+    return prefix + (suffix + sep + prefix).join(items) + suffix
 
 
 def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
@@ -241,11 +242,12 @@ class JointTable(_Record):
                 for j2 in range(lo, hi)]
 
     def member_runs(self, j1: int, j2: int) -> list[tuple[int, int]]:
-        """The maximal runs [start, stop) of digits mapping to (j1, j2), ascending;
-        [] for a pair outside the image."""
-        check_digit(j1, self.dep.base1)
-        check_digit(j2, self.dep.base2)
-        return self.runs_by_pair().get((j1, j2), [])
+        """The maximal runs [start, stop) of digits mapping to (j1, j2), ascending, [] for a
+        pair outside the image, in O(e1 * e2): the nonempty intersections of the digit
+        sets digit_set_ranges(base1, e2, j1) and (base2, e1, j2), whose ranges never touch."""
+        dep = self.dep
+        return [(max(s1, s2), min(t1, t2)) for s1, t1 in digit_set_ranges(dep.base1, dep.e2, j1)
+                for s2, t2 in digit_set_ranges(dep.base2, dep.e1, j2) if max(s1, s2) < min(t1, t2)]
 
     def to_json_text(self) -> str:
         """The table's JSON: ``bases``, ``combined_base``, ``dependence``, the
@@ -268,7 +270,7 @@ class JointTable(_Record):
         excluded = [_joined(f"[{j1}, ", j2s[lo:hi], "]") for j1, lo, hi in _gaps(by_pair, self.dep)]
         return (f'{{"bases": [{b1}, {b2}], "cells": [{", ".join(cells)}], '
                 f'"combined_base": {self.combined_base}, '
-                f'"dependence": {json.dumps(self.dep.to_json_dict(), sort_keys=True)}, '
+                f'"dependence": {self.dep.to_json_text()}, '
                 f'"excluded": [{", ".join(excluded)}]}}')
 
     def to_json_dict(self) -> dict:
@@ -397,10 +399,9 @@ class ImageReport(_Record):
             if c is None:
                 excluded.append(_joined(f"[{j1}, ", j2s[start:stop], "]"))
                 n_excluded += stop - start
-        dependence = self.dependence.to_json_dict() if self.dependence else None
         return (f'{{"attainable_count": {(b1 - 1) * (b2 - 1) - n_excluded}, '
-                f'"bases": [{b1}, {b2}], '
-                f'"dependence": {json.dumps(dependence, sort_keys=True)}, '
+                f'"bases": [{b1}, {b2}], "dependence": '
+                f'{self.dependence.to_json_text() if self.dependence else "null"}, '
                 f'"excluded": [{", ".join(excluded)}], "excluded_count": {n_excluded}, '
                 f'"pairs": [{", ".join(pairs)}]}}')
 

@@ -227,9 +227,9 @@ def _return_gaps(anchor_base: int, b: int, j: int, limit: int) -> tuple[int, ...
 
 
 def _scan_anchor(
-    bases: tuple[int, ...], target: tuple[int, ...], anchor: int, budget: int
+    report: DependenceReport, target: tuple[int, ...], anchor: int, budget: int
 ) -> tuple[int, int] | None:
-    """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget.
+    """Scan x_k = target[anchor] * bases[anchor]**k, bases = report.bases, for k = 0..budget.
 
     Returns (x, k) for the first k whose candidate matches every
     non-anchor digit.  A mantissa cursor reads each other base's digit of
@@ -256,10 +256,11 @@ def _scan_anchor(
     period L, the lcm of those bases' periods, and the scan stops at
     k = L - 1.
     """
+    bases = report.bases
     # base i = a**e_i and the anchor a**e share a root: x_(k+e_i) = x_k * b_i**e
     # has the digit of x_k in base i, so that digit has period e_i
     periods = {i + j - anchor: dep.e2 if i == anchor else dep.e1
-               for i, j, dep in pairwise_report(bases).dependent_pairs if anchor in (i, j)}
+               for i, j, dep in report.dependent_pairs if anchor in (i, j)}
     if len(periods) == len(bases) - 1:
         budget = min(budget, lcm(*periods.values()) - 1)
     rank = {i: (2 * target[i] + 1) * (bases[i] ** 16).bit_length()
@@ -330,7 +331,7 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     if query.retry_other_anchors:
         anchors += [i for i in range(len(bases)) if i != query.anchor]
     for anchor in anchors:
-        found = _scan_anchor(bases, target, anchor, query.budget)
+        found = _scan_anchor(report, target, anchor, query.budget)
         if found is not None:
             x, k = found
             # independent re-check by the from-scratch route; survives python -O

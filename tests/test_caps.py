@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from jointdigits import (
     DependencePair,
     DependenceReport,
+    JointTable,
     ResourceLimitError,
     WitnessQuery,
     classify_parameter,
@@ -87,6 +88,14 @@ def test_sizes_are_bounded_before_work():
     ]
     for call in calls:
         assert _peak_bytes(call) < 1 << 20
+
+
+def test_table_reader_holds_no_second_copy_of_its_text():
+    # the reader compares the payload with the rebuilt table's text and
+    # parses nothing back; a second parse and dump of that 2.84 MB text
+    # would alone take the peak past 30 MB
+    payload = json.loads(joint_table(pair_dependence(16, 4096)).to_json_text())
+    assert _peak_bytes(lambda: JointTable.from_json_dict(payload)) < 20 << 20
 
 
 def test_deps_json_reads_back_under_the_default_digit_limit(capsys):

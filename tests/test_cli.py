@@ -24,9 +24,14 @@ from jointdigits import (
     DependenceReport,
     ImageReport,
     JointTable,
+    WitnessQuery,
+    find_witness,
+    image_exact,
     joint_table,
     leading_digit,
+    orbit_sample,
     pair_dependence,
+    pairwise_report,
 )
 from jointdigits.cli import main
 
@@ -417,6 +422,33 @@ class TestWitness:
         assert payload["k_reached"] == 1
         assert "Schanuel" in payload["assumption_note"]
 
+    @pytest.mark.parametrize("argv, line", [
+        (("3,10", "2,9", "--no-retry-anchors"),
+         "budget exhausted; for two multiplicatively independent bases a witness is "
+         "guaranteed to exist (the joint digit map is surjective), so retry with a "
+         "larger budget"),
+        (("3,10,7", "2,9,5"),
+         "budget exhausted; for three or more pairwise-independent bases, surjectivity "
+         "of the joint digit map is conditional on the conjectured rational "
+         "independence of the reciprocal logarithms 1/ln(b_i), which follows from "
+         "Schanuel's conjecture -- exhaustion is inconclusive, not a certificate of "
+         "non-attainability"),
+        (("4,8,10", "3,6,9"),
+         "budget exhausted; the target passes the power criterion of every dependent "
+         "pair of the bases, so exhaustion is inconclusive, not a certificate of "
+         "non-attainability"),
+        (("4,8", "3,6", "--no-retry-anchors"),
+         "budget exhausted; the target passes the power criterion of every dependent "
+         "pair of the bases, so exhaustion is inconclusive, not a certificate of "
+         "non-attainability; the anchored scan of a dependent pair is periodic, so "
+         "retry from the other anchor"),
+    ])
+    def test_exhausted_text_golden(self, capsys, argv, line):
+        bases, target, *flags = argv
+        code, out, err = run(capsys, "witness", "--bases", bases, "--target", target,
+                             "--budget", "1", "--output", "text", *flags)
+        assert (code, out, err) == (0, f"exhausted at k=1: {line}\n", "")
+
     def test_anchor_flag(self, capsys):
         code, out, _ = run(
             capsys, "witness", "--bases", "3,10", "--target", "2,9", "--anchor", "1"
@@ -712,6 +744,39 @@ def test_json_is_one_sorted_key_line(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# each report kind the CLI prints as JSON, with the library call that builds it
+JSON_REPORTS = {
+    "deps": (("deps", "--bases", "4,8,10,16", "--output", "json"),
+             lambda: pairwise_report((4, 8, 10, 16))),
+    "image dependent": (("image", "--bases", "27,9"), lambda: image_exact(27, 9)),
+    "image trivial": (("image", "--bases", "3,10", "--allow-trivial"),
+                      lambda: image_exact(3, 10, allow_independent=True)),
+    "table": (("table", "--bases", "9,27", "--output", "json"),
+              lambda: joint_table(pair_dependence(9, 27))),
+    "witness found": (("witness", "--bases", "3,10", "--target", "2,9"),
+                      lambda: find_witness(WitnessQuery((3, 10), (2, 9)))),
+    "witness not attainable": (("witness", "--bases", "4,8", "--target", "2,3"),
+                               lambda: find_witness(WitnessQuery((4, 8), (2, 3)))),
+    "witness exhausted": (
+        ("witness", "--bases", "3,10,7", "--target", "2,9,5", "--budget", "1"),
+        lambda: find_witness(WitnessQuery((3, 10, 7), (2, 9, 5), budget=1))),
+    **{f"coverage {sampler}": (
+        ("coverage", "--bases", "3,10", "--samples", "200", "--sampler", sampler),
+        lambda sampler=sampler: orbit_sample((3, 10), 200, sampler))
+       for sampler in ("integer-scan", "geometric", "low-discrepancy")},
+}
+
+
+@pytest.mark.parametrize("kind", JSON_REPORTS)
+def test_json_line_is_the_report_text_and_reads_back(capsys, kind):
+    argv, build = JSON_REPORTS[kind]
+    code, out, err = run(capsys, *argv)
+    obj = build()
+    assert (code, out, err) == (0, obj.to_json_text() + "\n", "")
+    line = out[:-1]
+    assert type(obj).from_json_dict(json.loads(line)).to_json_text() == line
 
 
 def fresh_env() -> dict:

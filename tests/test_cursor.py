@@ -30,7 +30,13 @@ from jointdigits import (
 )
 from jointdigits.dependence import pairwise_report
 from jointdigits.digits import _MantissaCursor
-from jointdigits.witness import _return_gaps, _scan_anchor
+from jointdigits.witness import _return_gaps
+from jointdigits.witness import _scan_anchor as _scan_report_anchor
+
+
+def _scan_anchor(bases, target, anchor, budget):
+    """The anchored scan of the bases, through their pairwise_report."""
+    return _scan_report_anchor(pairwise_report(bases), target, anchor, budget)
 
 
 def _exact(v):

@@ -134,13 +134,26 @@ class TestFindWitness:
         assert r.found
         assert verify_witness(r.x, (3, 10, 7), (2, 4, 3))
 
+    def test_one_dependence_report_per_query(self, monkeypatch):
+        # every anchor the query tries scans with the report of its first stage
+        calls = []
+
+        def counted(bases):
+            calls.append(bases)
+            return pairwise_report(bases)
+
+        monkeypatch.setattr(jointdigits.witness, "pairwise_report", counted)
+        r = find_witness(WitnessQuery(bases=(3, 10, 7), target=(2, 9, 5), budget=1))
+        assert r.outcome == "exhausted"
+        assert calls == [(3, 10, 7)]
+
 
 def test_recheck_survives_optimize_flag():
     # python -O strips assert statements; the re-check must still raise
     code = textwrap.dedent(
         """
         import jointdigits.witness as w
-        w._scan_anchor = lambda bases, target, anchor, budget: (10, 0)
+        w._scan_anchor = lambda report, target, anchor, budget: (10, 0)
         try:
             w.find_witness(w.WitnessQuery(bases=(3, 10), target=(2, 9)))
         except RuntimeError as exc:
