@@ -40,9 +40,7 @@ from .digits import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_SCAN_CAP,
     _format_decimal,
-    _parse_terms,
-    _split,
-    check_base,
+    _literal_digit,
     check_bases,
     parse_positive_rational,
 )
@@ -144,9 +142,9 @@ _parser = lru_cache(maxsize=None)(build_parser)
 
 
 def _cmd_digit(args) -> int:
-    # the digit needs no gcd: split the unreduced p/q
-    _, n, den = _split(*_parse_terms(args.x), check_base(args.base))
-    d = n // den
+    # the digit needs no gcd, and a long p/q whose terms are close in length
+    # needs only their first 40 digits unless it lies close to a digit edge
+    d = _literal_digit(args.x, args.base)
     if args.output == "json":
         print(json.dumps({"base": args.base, "x": args.x.strip(), "digit": d}, sort_keys=True))
     else:

@@ -119,17 +119,63 @@ def parse_positive_rational(text: str) -> Fraction:
 
 def _parse_terms(text: str) -> tuple[int, int]:
     """The integer terms (p, q) of 'p' or 'p/q', both >= 1 and not reduced."""
+    return _int_terms(text, *_match_terms(text))
+
+
+def _match_terms(text: str) -> tuple[str, str | None]:
+    """The decimal strings of the terms of 'p' or 'p/q' (None for a missing q)."""
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not an integer or p/q rational literal: {text!r}")
+    return m.groups()
+
+
+def _int_terms(text: str, num: str, den: str | None) -> tuple[int, int]:
+    """The terms of text, parsed from its matched strings, both >= 1."""
     powers: dict[int, int] = {}
-    num = _parse_decimal(m.group(1), powers)
-    den = _parse_decimal(m.group(2), powers) if m.group(2) else 1
-    if den == 0:
+    p = _parse_decimal(num, powers)
+    q = _parse_decimal(den, powers) if den else 1
+    if q == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    if num == 0:
+    if p == 0:
         raise ValueError(f"expected a positive value: {text!r}")
-    return num, den
+    return p, q
+
+
+# _literal_digit reads a long term from its first _PREFIX_DIGITS digits
+_PREFIX_DIGITS = 40
+
+
+def _literal_digit(text: str, b: int) -> int:
+    """The leading digit in base b of the literal 'p' or 'p/q', with the
+    errors of ``leading_digit(parse_positive_rational(text), b)``, the
+    literal's before the base's.
+
+    When a term runs past T = _PREFIX_DIGITS digits and the two differ in
+    length by at most T, each is read from its first T digits: with pt their
+    value and ep = len(p) - T > 0, pt * 10**ep <= p < (pt + 1) * 10**ep, and
+    likewise q, so x lies in [L, U], U / L = (pt + [ep > 0])(qt + [eq > 0]) / (pt * qt).
+    The digit j of L, on [j * b**k, (j + 1) * b**k), is that of x iff
+    U < (j + 1) * b**k.  Any other literal (a zero prefix, a wider gap, or x
+    within about 10**(1 - T) of a digit edge, relative to x) is parsed in
+    full.  The prefix route does not meet int()'s digit limit; the CLI lifts it.
+    """
+    num, den = _match_terms(text)
+    ep, eq = max(len(num) - _PREFIX_DIGITS, 0), max(len(den or "") - _PREFIX_DIGITS, 0)
+    if ep + eq and abs(ep - eq) <= _PREFIX_DIGITS:
+        pt, qt = int(num[:_PREFIX_DIGITS]), int(den[:_PREFIX_DIGITS]) if den else 1
+        if pt and qt:
+            pu, qu = pt + (ep > 0), qt + (eq > 0)
+            # L = pt * 10**(ep - eq) / qu, split unreduced
+            _, n, d = _split(pt * 10 ** max(ep - eq, 0), qu * 10 ** max(eq - ep, 0),
+                             check_base(b))
+            j = n // d
+            # x <= U = L * pu * qu / (pt * qt), and x = U when p has no more
+            # than T digits and q is qt * 10**eq, so U must stay below the edge
+            if n * pu * qu < (j + 1) * d * pt * qt:
+                return j
+    _, n, d = _split(*_int_terms(text, num, den), check_base(b))
+    return n // d
 
 
 # int() is quadratic in the digits of a decimal string; past this length

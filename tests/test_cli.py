@@ -118,6 +118,46 @@ class TestDigit:
             assert main(["digit", "--base", str(b), "--x", f"{p * g}/{q * g}"]) == 0
         assert buf.getvalue() == f"{leading_digit(Fraction(p, q), b)}\n"
 
+    def test_long_literal_reads_prefixes(self, capsys, monkeypatch):
+        # two 50,000-digit terms, read from their first 40 digits each; the
+        # repeated blocks cancel, so x is 1234567891/9876543211
+        x = f"{'1234567891' * 5000}/{'9876543211' * 5000}"
+        digit = leading_digit(Fraction(1234567891, 9876543211), 7)
+        monkeypatch.setattr(jointdigits.digits, "_parse_decimal", mock.Mock(side_effect=AssertionError))
+        assert run(capsys, "digit", "--base", "7", "--x", x) == (0, f"{digit}\n", "")
+        code, out, _ = run(capsys, "digit", "--base", "7", "--x", f" {x} ", "--output", "json")
+        assert (code, out) == (0, json.dumps({"base": 7, "digit": digit, "x": x}) + "\n")
+
+    @pytest.mark.parametrize(
+        "base, x, digit",
+        [
+            ("3", f"{486 * 7**60}/{7**60}", 2),  # 2 * 3**5, on a digit edge
+            ("10", str(7**1000), int(str(7**1000)[0])),  # one term of 846 digits
+        ],
+        ids=["edge", "length-gap"],
+    )
+    def test_edge_and_length_gap_parse_in_full(self, capsys, monkeypatch, base, x, digit):
+        parse = mock.Mock(wraps=jointdigits.digits._parse_decimal)
+        monkeypatch.setattr(jointdigits.digits, "_parse_decimal", parse)
+        assert run(capsys, "digit", "--base", base, "--x", x) == (0, f"{digit}\n", "")
+        assert parse.called
+
+    @pytest.mark.parametrize(
+        "x, err",
+        [
+            ("0/5", "error: expected a positive value: '0/5'\n"),
+            ("5/0", "error: zero denominator: '5/0'\n"),
+            ("000/7", "error: expected a positive value: '000/7'\n"),
+            ("7/000", "error: zero denominator: '7/000'\n"),
+            ("\u0660/\u0663", "error: expected a positive value: '\u0660/\u0663'\n"),
+            ("0" * 50 + "/" + "7" * 50, f"error: expected a positive value: '{'0' * 50}/{'7' * 50}'\n"),
+            ("1" * 50 + "/" + "0" * 50, f"error: zero denominator: '{'1' * 50}/{'0' * 50}'\n"),
+        ],
+        ids=["0/5", "5/0", "000/7", "7/000", "arabic-indic-0/3", "long-0/7", "long-1/0"],
+    )
+    def test_zero_terms_keep_their_errors(self, capsys, x, err):
+        assert run(capsys, "digit", "--base", "10", "--x", x) == (1, "", err)
+
 
 class TestDeps:
     def test_text(self, capsys):

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointdigits import (
@@ -25,9 +25,12 @@ from jointdigits import (
 )
 from jointdigits.digits import (
     _PARSE_CUTOFF,
+    _PREFIX_DIGITS,
     _MantissaCursor,
     _format_decimal,
+    _literal_digit,
     _parse_decimal,
+    _parse_terms,
     _split,
 )
 
@@ -440,6 +443,69 @@ class TestParsing:
         with pytest.raises(ValueError):
             as_positive_rational(Fraction(0))
 
+
+T = _PREFIX_DIGITS
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def literals(draw):
+    """(text, b): a 'p' or 'p/q' literal, random or next to a digit edge of b."""
+    b = draw(st.integers(3, 64) | st.integers(3, 10**45) | st.sampled_from([10, 10**T, 10**(T + 1)]))
+    length = st.integers(1, 300) | st.integers(T - 1, T + 2)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lq = draw(length)
+    q = rng.randrange(10 ** (lq - 1), 10**lq)
+    if draw(st.integers(0, 2)):
+        # gaps of exactly T and T + 1 digits sit on either side of the prefix rule
+        lp = draw(length | st.integers(max(lq - T, 1), lq + T)
+                  | st.sampled_from([lq + T, lq + T + 1, lq - T, lq - T - 1]).filter(lambda n: n >= 1))
+        p = rng.randrange(10 ** (lp - 1), 10**lp)
+    else:
+        # (j * b**k * q + {-1, 0, 1}) / q, or its edge below 1, b**|k| of at most 2T digits
+        j = draw(st.integers(1, b - 1))
+        k = draw(st.integers(-(2 * T // len(str(b))), 2 * T // len(str(b))))
+        p = max(1, j * b ** max(k, 0) * q + draw(st.sampled_from([-1, 0, 1])))
+        q *= b ** max(-k, 0)
+    num, den = str(p), str(q)
+    zeros = st.just(0) | st.just(0) | st.integers(1, 3) | st.integers(T - 1, T + 2)
+    num = draw(st.sampled_from("0\u0660")) * draw(zeros) + num
+    den = draw(st.sampled_from("0\u0660")) * draw(zeros) + den
+    if draw(st.booleans()):
+        num, den = num.translate(ARABIC_INDIC), den.translate(ARABIC_INDIC)
+    space = st.sampled_from(["", " ", "\t", "  "])
+    if draw(st.integers(0, 9)) == 0:
+        return f"{draw(space)}{num}{draw(space)}", b
+    return f"{draw(space)}{num}{draw(space)}/{draw(space)}{den}{draw(space)}", b
+
+
+class TestLiteralDigit:
+    """_literal_digit against the exact split of the fully parsed terms."""
+
+    @staticmethod
+    def exact(text, b):
+        _, n, d = _split(*_parse_terms(text), b)
+        return n // d
+
+    @settings(max_examples=400, deadline=None)
+    @given(literals())
+    # x = 5 * 10**-50 is the top of its prefix bracket [L, U] and a digit edge
+    @example(("5/1" + "0" * 50, 10))
+    # x = 2 * 3**5, a digit edge inside the bracket
+    @example((f"{486 * (10**60 + 7)}/{10**60 + 7}", 3))
+    def test_matches_exact_route(self, case):
+        text, b = case
+        assert _literal_digit(text, b) == self.exact(text, b)
+
+    def test_literal_errors_come_before_the_base_error(self):
+        long_zero, long_seven = "0" * (T + 10), "7" * (T + 10)
+        for text in ["abc", "7/000", f"{long_zero}/{long_seven}", f"{long_seven}/{long_zero}",
+                     "7", long_seven, f"{long_seven}/{'3' * T}"]:
+            with pytest.raises(ValueError) as expected:
+                leading_digit(parse_positive_rational(text), 2)
+            with pytest.raises(ValueError) as got:
+                _literal_digit(text, 2)
+            assert str(got.value) == str(expected.value)
 
 def test_deterministic_across_runs():
     # same inputs, same digits, independent of iteration order or caching
