@@ -46,7 +46,7 @@ from .digits import (
 )
 from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
-from .image import _gaps, _joined, image_exact, joint_table
+from .image import _chunks, _gaps, _joined, image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
 from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
@@ -141,6 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
+def _write_json(record) -> int:
+    # never held whole; a refusal comes before the first chunk, leaving stdout empty
+    sys.stdout.writelines(chain(record.iter_json_text(), "\n"))
+    return 0
+
+
 def _cmd_digit(args) -> int:
     # the digit needs no gcd, and a long p/q whose terms are close in length
     # needs only their first 40 digits unless it lies close to a digit edge
@@ -155,8 +161,7 @@ def _cmd_digit(args) -> int:
 def _cmd_deps(args) -> int:
     report = pairwise_report(_parse_bases(args.bases))
     if args.output == "json":
-        print(report.to_json_text())
-        return 0
+        return _write_json(report)
     # format every line first: a combined base past its cap leaves stdout empty
     lines = [
         f"{report.bases[i]} ~ {report.bases[j]}: dependent, "
@@ -181,16 +186,14 @@ def _cmd_image(args) -> int:
             "trivial all-attainable report"
         ) from None
     if args.output == "json":
-        print(report.to_json_text())
-        return 0
+        return _write_json(report)
     att, exc = report.counts
     print(f"bases {bases[0]},{bases[1]}: {att} attainable, {exc} excluded")
-    # one join per excluded interval of a row
+    # one join per excluded interval, written in parts
     j2s = list(map(str, range(bases[1])))
-    print("".join(
+    sys.stdout.writelines(_chunks((
         _joined(f"excluded: ({j1},", j2s[start:stop], ")\n", sep="")
-        for j1, row in enumerate(report.rows, 1) for start, stop, c in row if c is None
-    ), end="")
+        for j1, row in enumerate(report.rows, 1) for start, stop, c in row if c is None), sep=""))
     return 0
 
 
@@ -206,8 +209,7 @@ def _cmd_table(args) -> int:
         )
     table = joint_table(dep, cap=_env_cap("JOINTDIGITS_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
     if args.output == "json":
-        print(table.to_json_text())
-        return 0
+        return _write_json(table)
     b1, b2 = dep.base1, dep.base2
     print(
         f"bases ({b1},{b2})  combined base {table.combined_base}"
@@ -244,8 +246,7 @@ def _cmd_witness(args) -> int:
     )
     result = find_witness(query, budget_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
     if args.output == "json":
-        print(result.to_json_text())
-        return 0
+        return _write_json(result)
     if result.outcome == "found":
         print(f"found x={_format_decimal(result.x)} (anchor {result.anchor_index}, k={result.k})")
     elif result.outcome == "not_attainable":
@@ -271,11 +272,9 @@ def _cmd_coverage(args) -> int:
         sample_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP),
     )
     if args.output == "json":
-        print(report.to_json_text())
-        return 0
+        return _write_json(report)
     if args.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerows(report.to_csv_rows())
+        csv.writer(sys.stdout).writerows(report.iter_csv_rows())
         return 0
     print(
         f"bases {report.bases}  sampler {report.sampler}  samples {report.samples}"

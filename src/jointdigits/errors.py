@@ -60,7 +60,7 @@ def _json_reader(rebuild):
     ``rebuild`` reads the payload's key fields, checks sizes against the caps
     and rebuilds the object through its constructors, coercing passed-through
     numbers with ``operator.index``.  d is accepted only if its sorted-key
-    ``json.dumps`` is exactly the object's ``to_json_text()``, the line the
+    ``json.dumps`` is exactly the chunks of ``iter_json_text()``, the line the
     CLI prints, so no float, bool, non-canonical string or extra key gets
     through.  A missing key or a value of the wrong JSON type is a
     ValueError; ResourceLimitError passes through.
@@ -69,13 +69,23 @@ def _json_reader(rebuild):
     def from_json_dict(cls, d):
         try:
             obj = rebuild(cls, d)
-            if json.dumps(d, sort_keys=True) != obj.to_json_text():
+            if not _same_text(json.dumps(d, sort_keys=True), obj.iter_json_text()):
                 raise ValueError(f"payload is not the canonical JSON of its {cls.__name__}")
         except (KeyError, TypeError, IndexError) as e:
             raise ValueError(f"malformed {cls.__name__} payload: {e!r}") from e
         return obj
 
     return classmethod(from_json_dict)
+
+
+def _same_text(text: str, chunks) -> bool:
+    """Whether the chunks join to exactly text, without joining them."""
+    pos = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return pos == len(text)
 
 
 class _Record:
@@ -107,9 +117,13 @@ class _Record:
         cls.__init__, cls._key = ns["__init__"], ns["_key"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
+    def iter_json_text(self):
+        """The record's canonical JSON, the sorted-key line the CLI prints, in chunks."""
+        yield json.dumps(self.to_json_dict(), sort_keys=True)
+
     def to_json_text(self) -> str:
-        """The record's canonical JSON: one sorted-key line, as the CLI prints it."""
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The chunks of ``iter_json_text`` joined."""
+        return "".join(self.iter_json_text())
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
-from operator import index
+from itertools import chain, groupby, repeat
+from operator import index, itemgetter
 
 from .dependence import DependencePair, pair_dependence
 from .digits import (
@@ -174,12 +174,26 @@ def _joined(prefix: str, items: Iterable[str], suffix: str, sep: str = ", ") -> 
     return prefix + (suffix + sep + prefix).join(items) + suffix
 
 
-def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
+def _chunks(items: Iterable[str], sep: str = ", ") -> Iterator[str]:
+    """The items joined by sep, in parts of 64 kB or more (the last may be
+    shorter): a list written out without ever being held whole."""
+    part, size = [], 0
+    for item in items:
+        part.append(item)
+        size += len(item)
+        if size >= 1 << 16:
+            yield sep.join(part)
+            part, size = [""], 0  # the next part starts with sep
+    if size:
+        yield sep.join(part)
+
+
+def _spans(keys, n_major: int, n_minor: int):
     """Walk (major, minor) over 1..n_major-1 x 1..n_minor-1 in sorted order.
 
-    ``keys`` are the present pairs, sorted.  Yields (major, lo, hi, True)
-    for each present pair (hi = lo + 1) and (major, lo, hi, False) for each
-    maximal span of absent minors lo..hi-1 between them.
+    ``keys`` are the present pairs, sorted, each (major, minor, ...).  Yields
+    (major, lo, hi, key) for each present key (hi = lo + 1) and (major, lo,
+    hi, None) for each maximal span of absent minors lo..hi-1 between them.
     """
     keys = iter(keys)
     key = next(keys, None)
@@ -187,12 +201,12 @@ def _spans(keys: list[tuple[int, int]], n_major: int, n_minor: int):
         lo = 1
         while key is not None and key[0] == major:
             if key[1] > lo:
-                yield major, lo, key[1], False
-            yield major, key[1], key[1] + 1, True
+                yield major, lo, key[1], None
+            yield major, key[1], key[1] + 1, key
             lo = key[1] + 1
             key = next(keys, None)
         if lo < n_minor:
-            yield major, lo, n_minor, False
+            yield major, lo, n_minor, None
 
 
 def _gaps(pairs, dep: DependencePair) -> Iterator[tuple[int, int, int]]:
@@ -238,7 +252,7 @@ class JointTable(_Record):
 
     def excluded(self) -> list[tuple[int, int]]:
         """The digit pairs outside the image, sorted."""
-        return [(j1, j2) for j1, lo, hi in _gaps(self.runs_by_pair(), self.dep)
+        return [(j1, j2) for j1, lo, hi in _gaps(self.image(), self.dep)
                 for j2 in range(lo, hi)]
 
     def member_runs(self, j1: int, j2: int) -> list[tuple[int, int]]:
@@ -249,32 +263,31 @@ class JointTable(_Record):
         return [(max(s1, s2), min(t1, t2)) for s1, t1 in digit_set_ranges(dep.base1, dep.e2, j1)
                 for s2, t2 in digit_set_ranges(dep.base2, dep.e1, j2) if max(s1, s2) < min(t1, t2)]
 
-    def to_json_text(self) -> str:
+    def iter_json_text(self) -> Iterator[str]:
         """The table's JSON: ``bases``, ``combined_base``, ``dependence``, the
         ``cells`` {j1, j2, runs} j2-major (runs [] if excluded) and the sorted
         ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
 
-        Written straight from ``runs_by_pair``: each cell with runs is one
-        string, each span of empty cells along a j2 row one join.
+        Written in parts, from the runs sorted j2-major by a stable sort.
         """
         b1, b2 = self.dep.base1, self.dep.base2
-        by_pair = self.runs_by_pair()
+        dependence = self.dep.to_json_text()  # the part that may refuse, before any chunk
+        by_cell = groupby(sorted(self.runs, key=lambda run: run[2][::-1]), itemgetter(2))
+        keys = ((j2, j1, ", ".join([f"[{s}, {t}]" for s, t, _ in runs]))
+                for (j1, j2), runs in by_cell)
         j1s, j2s = list(map(str, range(b1))), list(map(str, range(b2)))  # str(j) at index j
-        cells = []
-        for j2, lo, hi, hit in _spans(sorted((j2, j1) for j1, j2 in by_pair), b2, b1):
-            if hit:
-                runs = ", ".join([f"[{start}, {stop}]" for start, stop in by_pair[lo, j2]])
-                cells.append(f'{{"j1": {lo}, "j2": {j2}, "runs": [{runs}]}}')
-            else:
-                cells.append(_joined('{"j1": ', j1s[lo:hi], f', "j2": {j2}, "runs": []}}'))
-        excluded = [_joined(f"[{j1}, ", j2s[lo:hi], "]") for j1, lo, hi in _gaps(by_pair, self.dep)]
-        return (f'{{"bases": [{b1}, {b2}], "cells": [{", ".join(cells)}], '
-                f'"combined_base": {self.combined_base}, '
-                f'"dependence": {self.dep.to_json_text()}, '
-                f'"excluded": [{", ".join(excluded)}]}}')
+        yield f'{{"bases": [{b1}, {b2}], "cells": ['
+        yield from _chunks(f'{{"j1": {lo}, "j2": {j2}, "runs": [{key[2]}]}}' if key
+                           else _joined('{"j1": ', j1s[lo:hi], f', "j2": {j2}, "runs": []}}')
+                           for j2, lo, hi, key in _spans(keys, b2, b1))
+        yield (f'], "combined_base": {self.combined_base}, '
+               f'"dependence": {dependence}, "excluded": [')
+        yield from _chunks(_joined(f"[{j1}, ", j2s[lo:hi], "]")
+                           for j1, lo, hi in _gaps(self.image(), self.dep))
+        yield "]}"
 
     def to_json_dict(self) -> dict:
-        """The parsed form of ``to_json_text``."""
+        """The parsed form of ``iter_json_text``."""
         return json.loads(self.to_json_text())
 
     @_json_reader
@@ -370,7 +383,7 @@ class ImageReport(_Record):
 
     @property
     def counts(self) -> tuple[int, int]:
-        exc = sum(stop - start for _, start, stop, c in self._intervals() if c is None)
+        exc = sum(stop - start for row in self.rows for start, stop, c in row if c is None)
         return (self.bases[0] - 1) * (self.bases[1] - 1) - exc, exc
 
     def certificate_for(self, j1: int, j2: int) -> int | None:
@@ -379,34 +392,31 @@ class ImageReport(_Record):
         row = self.rows[j1 - 1]
         return row[bisect_right(row, j2, key=lambda iv: iv[0]) - 1][2] if self.dependence else None
 
-    def to_json_text(self) -> str:
+    def iter_json_text(self) -> Iterator[str]:
         """The report's JSON: ``bases``, ``dependence``, the two counts, one
         {pair, attainable, certificate_c} per pair j1-major and the sorted
         ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
 
-        Written straight from the rows: the pairs of one interval differ
-        only in j2, so each interval is one join, O(b1 * window) Python
-        steps plus the bytes.
+        Written in parts straight from the rows, one join per interval:
+        O(b1 * window) Python steps plus the bytes.
         """
         b1, b2 = self.bases
         j2s = list(map(str, range(b2)))  # str(j2) at index j2
         lead = {c: f'{{"attainable": {json.dumps(c is not None)}, '
                    f'"certificate_c": {json.dumps(c)}, "pair": ['
                 for c in {c for row in self.rows for _, _, c in row}}
-        pairs, excluded, n_excluded = [], [], 0
-        for j1, start, stop, c in self._intervals():
-            pairs.append(_joined(f"{lead[c]}{j1}, ", j2s[start:stop], "]}"))
-            if c is None:
-                excluded.append(_joined(f"[{j1}, ", j2s[start:stop], "]"))
-                n_excluded += stop - start
-        return (f'{{"attainable_count": {(b1 - 1) * (b2 - 1) - n_excluded}, '
-                f'"bases": [{b1}, {b2}], "dependence": '
-                f'{self.dependence.to_json_text() if self.dependence else "null"}, '
-                f'"excluded": [{", ".join(excluded)}], "excluded_count": {n_excluded}, '
-                f'"pairs": [{", ".join(pairs)}]}}')
+        att, exc = self.counts
+        yield (f'{{"attainable_count": {att}, "bases": [{b1}, {b2}], "dependence": '
+               f'{self.dependence.to_json_text() if self.dependence else "null"}, "excluded": [')
+        yield from _chunks(_joined(f"[{j1}, ", j2s[start:stop], "]")
+                           for j1, start, stop, c in self._intervals() if c is None)
+        yield f'], "excluded_count": {exc}, "pairs": ['
+        yield from _chunks(_joined(f"{lead[c]}{j1}, ", j2s[start:stop], "]}")
+                           for j1, start, stop, c in self._intervals())
+        yield "]}"
 
     def to_json_dict(self) -> dict:
-        """The parsed form of ``to_json_text``."""
+        """The parsed form of ``iter_json_text``."""
         return json.loads(self.to_json_text())
 
     @_json_reader

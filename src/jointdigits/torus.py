@@ -518,8 +518,8 @@ class _MeasureMap(Mapping):
 
     def bounds(self, tup: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
         """Endpoint floats (lo, hi) of the measure of a tuple of the codomain."""
-        p, ends = self.precision, (_ONE, _ONE)
-        for table, j in zip(self._tables, tup):
+        ends, p = self._tables[0].coord_floats[tup[0] - 1], self.precision  # 1 * x rounds to x
+        for table, j in zip(self._tables[1:], tup[1:]):
             ends = _imul(ends, table.coord_floats[j - 1], p)
         return ends
 
@@ -735,11 +735,13 @@ class CoverageReport(_Record):
             measures=measure_map(bases, precision=precision),
         )
 
+    def iter_csv_rows(self) -> Iterator[list[str]]:
+        yield ["tuple", "count", "measure"]
+        for tup, count, measure in self._cells():
+            yield [" ".join(map(str, tup)), str(count), measure]
+
     def to_csv_rows(self) -> list[list[str]]:
-        return [["tuple", "count", "measure"]] + [
-            [" ".join(map(str, tup)), str(count), measure]
-            for tup, count, measure in self._cells()
-        ]
+        return list(self.iter_csv_rows())
 
 
 def orbit_sample(

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +22,11 @@ import jointdigits.cli
 
 from jointdigits import (
     CoverageReport,
+    DependencePair,
     DependenceReport,
     ImageReport,
     JointTable,
+    ResourceLimitError,
     WitnessQuery,
     find_witness,
     image_exact,
@@ -898,3 +901,72 @@ class TestSignals:
 
         monkeypatch.setitem(jointdigits.cli._HANDLERS, "deps", interrupted)
         assert main(["deps", "--bases", "4,8"]) == 130
+
+    def test_closed_pipe_mid_report_exits_quietly(self, capsys, tmp_path):
+        # the reader leaves after the first chunk of a streamed report
+        class ClosingPipe(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise BrokenPipeError
+                return super().write(text)
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            with redirect_stdout(ClosingPipe()) as pipe:
+                code = main(["image", "--bases", "16,4096", "--output", "json"])
+        finally:
+            os.close(fd)
+        assert (code, pipe.writes, capsys.readouterr().err) == (1, 2, "")
+
+
+class ByteCount(io.TextIOBase):
+    """A stdout that keeps only the number of bytes written to it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text.encode())
+        return len(text)
+
+
+class TestStreamedJson:
+    @pytest.mark.parametrize("argv, builder, build", [
+        (("table", "--bases", "16,4096", "--output", "json"), "joint_table",
+         lambda: joint_table(pair_dependence(16, 4096))),
+        (("image", "--bases", "16,4096", "--output", "json"), "image_exact",
+         lambda: image_exact(16, 4096)),
+    ])
+    def test_memory_is_a_row_beyond_the_report(self, monkeypatch, argv, builder, build):
+        # what printing adds to the report: a text held whole would pass the
+        # bytes written.  The report is built before tracing starts, since the
+        # (16,4096) table's own 4095 runs take over a quarter of its 2.8 MB
+        report = build()
+        monkeypatch.setattr(jointdigits.cli, builder, lambda *args, **kwargs: report)
+        main(["deps", "--bases", "4,8", "--output", "json"])  # the parser, built once
+        sink = ByteCount()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 2_000_000
+        assert peak < sink.written / 4
+
+    @pytest.mark.parametrize("argv", [("image", "--bases", "4,8", "--output", "json"),
+                                      ("table", "--bases", "4,8", "--output", "json")])
+    def test_refusal_comes_before_the_first_chunk(self, capsys, monkeypatch, argv):
+        def refuse(self):
+            raise ResourceLimitError("combined base refused")
+
+        monkeypatch.setattr(DependencePair, "to_json_text", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: combined base refused\n")

@@ -137,3 +137,29 @@ def test_reader_takes_only_canonical_payloads(reader, data):
     except (ValueError, jointdigits.ResourceLimitError):
         return
     assert json.dumps(rebuilt.to_json_dict(), sort_keys=True) == json.dumps(payload, sort_keys=True)
+
+
+def _chunked(text: str, cuts: list[int]) -> list[str]:
+    """text cut at the sorted positions; a repeated cut makes an empty chunk."""
+    ends = [0, *sorted(cuts), len(text)]
+    return [text[start:stop] for start, stop in zip(ends, ends[1:])]
+
+
+@given(text=st.text(), data=st.data())
+def test_same_text_takes_every_chunking(text, data):
+    cuts = data.draw(st.lists(st.integers(0, len(text))))
+    assert errors._same_text(text, iter(_chunked(text, cuts)))
+
+
+@given(text=st.text(min_size=1), data=st.data())
+def test_same_text_refuses_any_other_text(text, data):
+    i = data.draw(st.integers(0, len(text) - 1))
+    change = data.draw(st.sampled_from(["character", "truncation", "extension"]))
+    if change == "character":
+        other = text[:i] + data.draw(st.characters().filter(lambda c: c != text[i])) + text[i + 1:]
+    elif change == "truncation":
+        other = text[:i]
+    else:
+        other = text + data.draw(st.text(min_size=1))
+    cuts = data.draw(st.lists(st.integers(0, len(other))))
+    assert not errors._same_text(text, _chunked(other, cuts))

@@ -42,10 +42,12 @@ from jointdigits.cli import main
 from jointdigits.torus import (
     _GUARD,
     _LN_FIXED_MAX,
+    _ONE,
     MAX_PRECISION,
     _context,
     _endpoints,
     _float,
+    _imul,
     _ln_fixed,
     _log_table,
     _ln_floats,
@@ -225,6 +227,22 @@ class TestMeasures:
     def test_tuple_cap(self):
         with pytest.raises(ResourceLimitError):
             measure_map((50, 51), cap=100)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_are_the_product_started_from_one(self, data):
+        # the replaced route multiplied every coordinate into [1, 1]; at 16
+        # bits the bases 3000 and 6000 have coordinates with a negative low end
+        precision = data.draw(st.sampled_from((16, 24, 53, 64, 113, 200)), label="precision")
+        base = st.integers(3, 199)
+        if precision == 16:
+            base |= st.sampled_from((3000, 6000))
+        bases = tuple(data.draw(st.lists(base, min_size=1, max_size=3, unique=True), label="bases"))
+        tup = tuple(data.draw(st.integers(1, b - 1)) for b in bases)
+        ends = (_ONE, _ONE)
+        for b, j in zip(bases, tup):
+            ends = _imul(ends, _log_table(b, precision).coord_floats[j - 1], precision)
+        assert measure_map(bases, precision=precision, cap=10**12).bounds(tup) == ends
 
     def test_frequency_vector_radius(self):
         fv = frequency_vector((3, 10, 7))
