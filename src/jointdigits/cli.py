@@ -33,7 +33,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 
 from . import __version__
 from .digits import (
@@ -46,7 +46,7 @@ from .digits import (
 )
 from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
-from .image import _chunks, _gaps, _joined, image_exact, joint_table
+from .image import _chunks, _gaps, _joined, _spans, image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
 from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
@@ -215,24 +215,24 @@ def _cmd_table(args) -> int:
         f"bases ({b1},{b2})  combined base {table.combined_base}"
         f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
     )
-    segments = {
-        pair: ",".join([str(s) if t == s + 1 else f"{s}-{t - 1}" for s, t in runs])
-        for pair, runs in table.runs_by_pair().items()
-    }
+    cells = list(table._walk(
+        lambda runs: ",".join([str(s) if t == s + 1 else f"{s}-{t - 1}" for s, t, _ in runs])))
     # "." never outgrows a "j1=N" header, so the headers and the present
     # pairs' segments fix every width, and each row prints as it is built
     header = ["", *[f"j1={j1}" for j1 in range(1, b1)]]
     widths = [len(f"j2={b2 - 1}"), *map(len, header[1:])]
-    for (j1, _), segment in segments.items():
+    for _, j1, segment in cells:
         widths[j1] = max(widths[j1], len(segment))
-    rows = ([f"j2={j2}", *[segments.get((j1, j2), ".") for j1 in range(1, b1)]]
-            for j2 in range(1, b2))
-    for row in chain([header], rows):
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    # one join per span of excluded pairs along a j1 row
-    gaps = [_joined(f"({j1},", map(str, range(lo, hi)), ")", sep=" ")
-            for j1, lo, hi in _gaps(segments, dep)]
-    print("excluded pairs: " + (" ".join(gaps) or "none"))
+    print("  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip())
+    dots = [".".ljust(w) for w in widths]  # a span of absent pairs is one slice
+    for j2, spans in groupby(_spans(cells, b2, b1), lambda span: span[0]):
+        row = chain.from_iterable([key[2].ljust(widths[lo])] if key else dots[lo:hi]
+                                  for _, lo, hi, key in spans)
+        print("  ".join([f"j2={j2}".ljust(widths[0]), *row]).rstrip())
+    # one join per span of excluded pairs along a j1 row, written in parts
+    gaps = _chunks((_joined(f"({j1},", map(str, range(lo, hi)), ")", sep=" ")
+                    for j1, lo, hi in _gaps(table.image(), dep)), sep=" ")
+    sys.stdout.writelines(chain(["excluded pairs: ", next(gaps, "none")], gaps, "\n"))
     return 0
 
 
@@ -323,7 +323,8 @@ def _run(argv: list[str] | None) -> int:
         return 1
     except BrokenPipeError:
         # the reader left; point stdout at devnull so the exit flush succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except KeyboardInterrupt:
         return 130

@@ -242,13 +242,17 @@ class JointTable(_Record):
     def image(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for _, _, p in self.runs)
 
+    def _walk(self, fmt) -> Iterator[tuple]:
+        """(j2, j1, fmt(runs)) for each pair (j1, j2) in the image, j2-major, where
+        runs iterates its (start, stop, pair) ascending: one stable sort of ``runs``."""
+        by_cell = groupby(sorted(self.runs, key=lambda run: run[2][::-1]), itemgetter(2))
+        return ((j2, j1, fmt(runs)) for (j1, j2), runs in by_cell)
+
     def runs_by_pair(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """The runs [start, stop) of each pair in the image, ascending, in one
-        pass over ``runs``: an excluded pair has no key, so the dict is O(runs)."""
-        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for start, stop, pair in self.runs:
-            out.setdefault(pair, []).append((start, stop))
-        return out
+        """The runs [start, stop) of each pair in the image, ascending, keyed
+        j2-major: an excluded pair has no key, so the dict is O(runs)."""
+        return {(j1, j2): runs
+                for j2, j1, runs in self._walk(lambda runs: [(s, t) for s, t, _ in runs])}
 
     def excluded(self) -> list[tuple[int, int]]:
         """The digit pairs outside the image, sorted."""
@@ -268,13 +272,12 @@ class JointTable(_Record):
         ``cells`` {j1, j2, runs} j2-major (runs [] if excluded) and the sorted
         ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
 
-        Written in parts, from the runs sorted j2-major by a stable sort.
+        Written in parts from the cells' walk and the excluded gaps, one join
+        per span: O(runs + b1 + b2) Python steps plus the bytes.
         """
         b1, b2 = self.dep.base1, self.dep.base2
         dependence = self.dep.to_json_text()  # the part that may refuse, before any chunk
-        by_cell = groupby(sorted(self.runs, key=lambda run: run[2][::-1]), itemgetter(2))
-        keys = ((j2, j1, ", ".join([f"[{s}, {t}]" for s, t, _ in runs]))
-                for (j1, j2), runs in by_cell)
+        keys = self._walk(lambda runs: ", ".join([f"[{s}, {t}]" for s, t, _ in runs]))
         j1s, j2s = list(map(str, range(b1))), list(map(str, range(b2)))  # str(j) at index j
         yield f'{{"bases": [{b1}, {b2}], "cells": ['
         yield from _chunks(f'{{"j1": {lo}, "j2": {j2}, "runs": [{key[2]}]}}' if key

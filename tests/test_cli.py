@@ -878,6 +878,23 @@ class TestLazyMpmath:
         assert proc.stdout == "[]\n"
 
 
+class ClosingPipe(io.StringIO):
+    """A stdout on descriptor fd whose reader leaves after the first write."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd, self.writes = fd, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
 class TestSignals:
     def test_closed_pipe_exits_quietly(self):
         # 400 kB of text: far more than a pipe holds, so the writer must
@@ -904,25 +921,31 @@ class TestSignals:
 
     def test_closed_pipe_mid_report_exits_quietly(self, capsys, tmp_path):
         # the reader leaves after the first chunk of a streamed report
-        class ClosingPipe(io.StringIO):
-            writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes > 1:
-                    raise BrokenPipeError
-                return super().write(text)
-
-            def fileno(self):
-                return fd
-
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
-            with redirect_stdout(ClosingPipe()) as pipe:
+            with redirect_stdout(ClosingPipe(fd)) as pipe:
                 code = main(["image", "--bases", "16,4096", "--output", "json"])
         finally:
             os.close(fd)
         assert (code, pipe.writes, capsys.readouterr().err) == (1, 2, "")
+
+    def test_closed_pipe_leaks_no_descriptor(self, capsys, tmp_path):
+        # a long-lived caller of main meets many closed pipes
+        def lowest_free():
+            probe = os.open(os.devnull, os.O_RDONLY)
+            os.close(probe)
+            return probe
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            before, codes = lowest_free(), []
+            for _ in range(5):
+                with redirect_stdout(ClosingPipe(fd)):
+                    codes.append(main(["table", "--bases", "8,4096"]))
+            after = lowest_free()
+        finally:
+            os.close(fd)
+        assert (codes, after, capsys.readouterr().err) == ([1] * 5, before, "")
 
 
 class ByteCount(io.TextIOBase):
@@ -935,6 +958,22 @@ class ByteCount(io.TextIOBase):
         return len(text)
 
 
+def traced_print(monkeypatch, argv, builder, report):
+    """(exit code, bytes written, tracemalloc peak) of main(argv) printing a
+    report built beforehand: what printing adds to the report itself."""
+    monkeypatch.setattr(jointdigits.cli, builder, lambda *args, **kwargs: report)
+    main(["deps", "--bases", "4,8", "--output", "json"])  # the parser, built once
+    sink = ByteCount()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, sink.written, peak
+
+
 class TestStreamedJson:
     @pytest.mark.parametrize("argv, builder, build", [
         (("table", "--bases", "16,4096", "--output", "json"), "joint_table",
@@ -943,23 +982,24 @@ class TestStreamedJson:
          lambda: image_exact(16, 4096)),
     ])
     def test_memory_is_a_row_beyond_the_report(self, monkeypatch, argv, builder, build):
-        # what printing adds to the report: a text held whole would pass the
-        # bytes written.  The report is built before tracing starts, since the
-        # (16,4096) table's own 4095 runs take over a quarter of its 2.8 MB
-        report = build()
-        monkeypatch.setattr(jointdigits.cli, builder, lambda *args, **kwargs: report)
-        main(["deps", "--bases", "4,8", "--output", "json"])  # the parser, built once
-        sink = ByteCount()
-        tracemalloc.start()
-        try:
-            with redirect_stdout(sink):
-                code = main(list(argv))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # a text held whole would pass the bytes written.  The report is built
+        # before tracing starts, since the (16,4096) table's own 4095 runs take
+        # over a quarter of its 2.8 MB
+        code, written, peak = traced_print(monkeypatch, argv, builder, build())
         assert code == 0
-        assert sink.written > 2_000_000
-        assert peak < sink.written / 4
+        assert written > 2_000_000
+        assert peak < written / 4
+
+    @pytest.mark.parametrize("b1, b2", [(16, 4096), (4096, 16)])
+    def test_text_grid_memory_is_its_cells_not_its_grid(self, monkeypatch, b1, b2):
+        # the grid holds each present pair's segment, not a cell per digit pair:
+        # about 1 MB of text either way round
+        table = joint_table(pair_dependence(b1, b2))
+        argv = ("table", "--bases", f"{b1},{b2}", "--output", "text")
+        code, written, peak = traced_print(monkeypatch, argv, "joint_table", table)
+        assert code == 0
+        assert written > 900_000
+        assert peak < 1.5 * written
 
     @pytest.mark.parametrize("argv", [("image", "--bases", "4,8", "--output", "json"),
                                       ("table", "--bases", "4,8", "--output", "json")])
