@@ -9,6 +9,10 @@ Subcommands map one-to-one onto the library surface:
   witness   search for x with a requested joint digit tuple
   coverage  torus-orbit sampling diagnostics
 
+Each subcommand but digit builds one library report and writes it through
+one writer: the report's iter_json_text() line, its iter_text() or (for
+coverage) its CSV rows.  The formats live with the reports, not here.
+
 Results go to stdout, diagnostics to stderr.  Exit status: 0 for a
 completed query (a negative answer such as not_attainable is still a
 completed query), 1 for domain errors or a closed stdout, 2 for usage
@@ -33,20 +37,19 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 
 from . import __version__
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_SCAN_CAP,
-    _format_decimal,
     _literal_digit,
     check_bases,
     parse_positive_rational,
 )
 from .dependence import pair_dependence, pairwise_report
 from .errors import IndependentBasesError, ResourceLimitError
-from .image import _chunks, _gaps, _joined, _spans, image_exact, joint_table
+from .image import image_exact, joint_table
 from .torus import DEFAULT_PRECISION, SAMPLERS, orbit_sample
 from .witness import DEFAULT_BUDGET, WitnessQuery, find_witness
 
@@ -141,13 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
-def _write_json(record) -> int:
-    # never held whole; a refusal comes before the first chunk, leaving stdout empty
-    sys.stdout.writelines(chain(record.iter_json_text(), "\n"))
-    return 0
+def _write(record, output: str) -> None:
+    """Write a report to stdout as its JSON line, its text or its CSV rows, in parts
+    and never held whole: a refusal comes before the first part, leaving stdout empty."""
+    if output == "csv":
+        csv.writer(sys.stdout).writerows(record.iter_csv_rows())
+    else:
+        sys.stdout.writelines(
+            chain(record.iter_json_text(), "\n") if output == "json" else record.iter_text())
 
 
-def _cmd_digit(args) -> int:
+def _cmd_digit(args) -> None:
     # the digit needs no gcd, and a long p/q whose terms are close in length
     # needs only their first 40 digits unless it lies close to a digit edge
     d = _literal_digit(args.x, args.base)
@@ -155,136 +162,52 @@ def _cmd_digit(args) -> int:
         print(json.dumps({"base": args.base, "x": args.x.strip(), "digit": d}, sort_keys=True))
     else:
         print(d)
-    return 0
 
 
-def _cmd_deps(args) -> int:
-    report = pairwise_report(_parse_bases(args.bases))
-    if args.output == "json":
-        return _write_json(report)
-    # format every line first: a combined base past its cap leaves stdout empty
-    lines = [
-        f"{report.bases[i]} ~ {report.bases[j]}: dependent, "
-        f"a={dep.a} e1={dep.e1} e2={dep.e2} combined_base={dep.combined_base}"
-        for i, j, dep in report.dependent_pairs
-    ]
-    independent = "yes" if report.all_pairwise_independent else "no"
-    print("\n".join([*lines, f"all pairwise independent: {independent}"]))
-    return 0
+def _cmd_deps(args):
+    return pairwise_report(_parse_bases(args.bases))
 
 
-def _cmd_image(args) -> int:
+def _parse_pair(args) -> tuple[int, int]:
     bases = _parse_bases(args.bases)
     if len(bases) != 2:
-        raise ValueError(f"image needs exactly two bases, got {len(bases)}")
+        raise ValueError(f"{args.command} needs exactly two bases, got {len(bases)}")
+    return bases
+
+
+def _cmd_image(args):
+    b1, b2 = _parse_pair(args)
     try:
-        report = image_exact(bases[0], bases[1], allow_independent=args.allow_trivial)
+        return image_exact(b1, b2, allow_independent=args.allow_trivial)
     except IndependentBasesError:
         raise IndependentBasesError(
-            f"bases {bases[0]} and {bases[1]} are multiplicatively independent: "
+            f"bases {b1} and {b2} are multiplicatively independent: "
             "every digit pair is attainable; pass --allow-trivial to emit the "
             "trivial all-attainable report"
         ) from None
-    if args.output == "json":
-        return _write_json(report)
-    att, exc = report.counts
-    print(f"bases {bases[0]},{bases[1]}: {att} attainable, {exc} excluded")
-    # one join per excluded interval, written in parts
-    j2s = list(map(str, range(bases[1])))
-    sys.stdout.writelines(_chunks((
-        _joined(f"excluded: ({j1},", j2s[start:stop], ")\n", sep="")
-        for j1, row in enumerate(report.rows, 1) for start, stop, c in row if c is None), sep=""))
-    return 0
 
 
-def _cmd_table(args) -> int:
-    bases = _parse_bases(args.bases)
-    if len(bases) != 2:
-        raise ValueError(f"table needs exactly two bases, got {len(bases)}")
-    dep = pair_dependence(bases[0], bases[1])
+def _cmd_table(args):
+    b1, b2 = _parse_pair(args)
+    dep = pair_dependence(b1, b2)
     if dep is None:
-        raise IndependentBasesError(
-            f"bases {bases[0]} and {bases[1]} are multiplicatively independent; "
-            "no combined-base table exists"
-        )
-    table = joint_table(dep, cap=_env_cap("JOINTDIGITS_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
-    if args.output == "json":
-        return _write_json(table)
-    b1, b2 = dep.base1, dep.base2
-    print(
-        f"bases ({b1},{b2})  combined base {table.combined_base}"
-        f"  [cells hold leading base-{table.combined_base} digits; . = empty]"
-    )
-    cells = list(table._walk(
-        lambda runs: ",".join([str(s) if t == s + 1 else f"{s}-{t - 1}" for s, t, _ in runs])))
-    # "." never outgrows a "j1=N" header, so the headers and the present
-    # pairs' segments fix every width, and each row prints as it is built
-    header = ["", *[f"j1={j1}" for j1 in range(1, b1)]]
-    widths = [len(f"j2={b2 - 1}"), *map(len, header[1:])]
-    for _, j1, segment in cells:
-        widths[j1] = max(widths[j1], len(segment))
-    print("  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip())
-    dots = [".".ljust(w) for w in widths]  # a span of absent pairs is one slice
-    for j2, spans in groupby(_spans(cells, b2, b1), lambda span: span[0]):
-        row = chain.from_iterable([key[2].ljust(widths[lo])] if key else dots[lo:hi]
-                                  for _, lo, hi, key in spans)
-        print("  ".join([f"j2={j2}".ljust(widths[0]), *row]).rstrip())
-    # one join per span of excluded pairs along a j1 row, written in parts
-    gaps = _chunks((_joined(f"({j1},", map(str, range(lo, hi)), ")", sep=" ")
-                    for j1, lo, hi in _gaps(table.image(), dep)), sep=" ")
-    sys.stdout.writelines(chain(["excluded pairs: ", next(gaps, "none")], gaps, "\n"))
-    return 0
+        raise IndependentBasesError(f"bases {b1} and {b2} are multiplicatively independent; "
+                                    "no combined-base table exists")
+    return joint_table(dep, cap=_env_cap("JOINTDIGITS_ENUM_CAP", DEFAULT_ENUMERATION_CAP))
 
 
-def _cmd_witness(args) -> int:
-    query = WitnessQuery(
-        bases=_parse_bases(args.bases),
-        target=_parse_ints(args.target, "target"),
-        budget=args.budget,
-        anchor=args.anchor,
-        retry_other_anchors=not args.no_retry_anchors,
-    )
-    result = find_witness(query, budget_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
-    if args.output == "json":
-        return _write_json(result)
-    if result.outcome == "found":
-        print(f"found x={_format_decimal(result.x)} (anchor {result.anchor_index}, k={result.k})")
-    elif result.outcome == "not_attainable":
-        i, j = result.obstruction
-        print(
-            f"not attainable: bases {query.bases[i]},{query.bases[j]} exclude "
-            f"digit pair {result.certificate.pair} "
-            f"(no power certificate in c range {result.certificate.scan_range})"
-        )
-    else:
-        print(f"exhausted at k={result.k_reached}: {result.assumption_note}")
-    return 0
+def _cmd_witness(args):
+    query = WitnessQuery(bases=_parse_bases(args.bases), target=_parse_ints(args.target, "target"),
+                         budget=args.budget, anchor=args.anchor,
+                         retry_other_anchors=not args.no_retry_anchors)
+    return find_witness(query, budget_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
 
 
-def _cmd_coverage(args) -> int:
-    report = orbit_sample(
-        _parse_bases(args.bases),
-        args.samples,
-        sampler=args.sampler,
-        ratio=parse_positive_rational(args.ratio),
-        window=args.window,
-        precision=args.precision,
-        sample_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP),
-    )
-    if args.output == "json":
-        return _write_json(report)
-    if args.output == "csv":
-        csv.writer(sys.stdout).writerows(report.iter_csv_rows())
-        return 0
-    print(
-        f"bases {report.bases}  sampler {report.sampler}  samples {report.samples}"
-    )
-    print(
-        f"rectangles hit {report.rectangles_hit}/{report.rectangles_total}, "
-        f"boundary-ambiguous {report.boundary_ambiguous}, "
-        f"max |frequency - measure| = {report.max_deviation():.4f}"
-    )
-    return 0
+def _cmd_coverage(args):
+    return orbit_sample(_parse_bases(args.bases), args.samples, sampler=args.sampler,
+                        ratio=parse_positive_rational(args.ratio), window=args.window,
+                        precision=args.precision,
+                        sample_cap=_env_cap("JOINTDIGITS_SCAN_CAP", DEFAULT_SCAN_CAP))
 
 
 _HANDLERS = {
@@ -314,9 +237,12 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        # each handler returns the report to write, or writes its own (digit)
+        record = _HANDLERS[args.command](args)
+        if record is not None:
+            _write(record, args.output)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-        return code
+        return 0
     except (ValueError, ResourceLimitError) as exc:
         # IndependentBasesError is a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)

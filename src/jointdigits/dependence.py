@@ -14,7 +14,7 @@ roots, no factorization engine needed.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd, isqrt
 from operator import index
@@ -230,6 +230,18 @@ class DependenceReport(_Record):
             ],
             "all_pairwise_independent": self.all_pairwise_independent,
         }
+
+    def iter_text(self) -> Iterator[str]:
+        """The report as text: a line per dependent pair, then whether all are
+        independent.  Every line is formatted before the text is yielded, so a
+        combined base past its cap refuses before any output."""
+        lines = [
+            f"{self.bases[i]} ~ {self.bases[j]}: dependent, "
+            f"a={dep.a} e1={dep.e1} e2={dep.e2} combined_base={dep.combined_base}"
+            for i, j, dep in self.dependent_pairs
+        ]
+        independent = "yes" if self.all_pairwise_independent else "no"
+        yield "\n".join([*lines, f"all pairwise independent: {independent}\n"])
 
     @_json_reader
     def from_json_dict(cls, d: dict) -> "DependenceReport":

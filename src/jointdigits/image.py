@@ -289,6 +289,35 @@ class JointTable(_Record):
                            for j1, lo, hi in _gaps(self.image(), self.dep))
         yield "]}"
 
+    def iter_text(self) -> Iterator[str]:
+        """The table as text: a header line, a grid with a column per j1 and a
+        row per j2 whose cells list each pair's runs of combined-base digits
+        ("." for none), and the excluded pairs, written row by row and in parts.
+
+        The grid holds one segment per pair in the image, never a cell per digit pair.
+        """
+        b1, b2, b = self.dep.base1, self.dep.base2, self.combined_base
+        yield (f"bases ({b1},{b2})  combined base {b}"
+               f"  [cells hold leading base-{b} digits; . = empty]\n")
+        cells = list(self._walk(
+            lambda runs: ",".join([str(s) if t == s + 1 else f"{s}-{t - 1}" for s, t, _ in runs])))
+        # "." never outgrows a "j1=N" header, so the headers and the present
+        # pairs' segments fix every width, and each row is written as it is built
+        header = ["", *[f"j1={j1}" for j1 in range(1, b1)]]
+        widths = [len(f"j2={b2 - 1}"), *map(len, header[1:])]
+        for _, j1, segment in cells:
+            widths[j1] = max(widths[j1], len(segment))
+        yield "  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip() + "\n"
+        dots = [".".ljust(w) for w in widths]  # a span of absent pairs is one slice
+        for j2, spans in groupby(_spans(cells, b2, b1), lambda span: span[0]):
+            row = chain.from_iterable([key[2].ljust(widths[lo])] if key else dots[lo:hi]
+                                      for _, lo, hi, key in spans)
+            yield "  ".join([f"j2={j2}".ljust(widths[0]), *row]).rstrip() + "\n"
+        # one join per span of excluded pairs along a j1 row, written in parts
+        gaps = _chunks((_joined(f"({j1},", map(str, range(lo, hi)), ")", sep=" ")
+                        for j1, lo, hi in _gaps(self.image(), self.dep)), sep=" ")
+        yield from chain(["excluded pairs: ", next(gaps, "none")], gaps, "\n")
+
     def to_json_dict(self) -> dict:
         """The parsed form of ``iter_json_text``."""
         return json.loads(self.to_json_text())
@@ -417,6 +446,17 @@ class ImageReport(_Record):
         yield from _chunks(_joined(f"{lead[c]}{j1}, ", j2s[start:stop], "]}")
                            for j1, start, stop, c in self._intervals())
         yield "]}"
+
+    def iter_text(self) -> Iterator[str]:
+        """The report as text: the two counts, then a line per excluded pair,
+        written in parts with one join per excluded interval."""
+        b1, b2 = self.bases
+        att, exc = self.counts
+        yield f"bases {b1},{b2}: {att} attainable, {exc} excluded\n"
+        j2s = list(map(str, range(b2)))  # str(j2) at index j2
+        yield from _chunks((_joined(f"excluded: ({j1},", j2s[start:stop], ")\n", sep="")
+                            for j1, row in enumerate(self.rows, 1)
+                            for start, stop, c in row if c is None), sep="")
 
     def to_json_dict(self) -> dict:
         """The parsed form of ``iter_json_text``."""

@@ -743,6 +743,13 @@ class CoverageReport(_Record):
     def to_csv_rows(self) -> list[list[str]]:
         return list(self.iter_csv_rows())
 
+    def iter_text(self) -> Iterator[str]:
+        """The report as text: the query, then the rectangles hit and the largest deviation."""
+        yield f"bases {self.bases}  sampler {self.sampler}  samples {self.samples}\n"
+        yield (f"rectangles hit {self.rectangles_hit}/{self.rectangles_total}, "
+               f"boundary-ambiguous {self.boundary_ambiguous}, "
+               f"max |frequency - measure| = {self.max_deviation():.4f}\n")
+
 
 def orbit_sample(
     bases: Iterable[int],

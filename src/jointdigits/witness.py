@@ -25,11 +25,11 @@ certificate: those are provably not attainable at any budget.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from math import lcm
 from operator import index
 
-from .dependence import DependenceReport, pair_dependence, pairwise_report
+from .dependence import DependenceReport, pairwise_report
 from .digits import (
     DEFAULT_SCAN_CAP,
     _MantissaCursor,
@@ -136,6 +136,18 @@ class WitnessResult(_Record):
             d.update(k_reached=self.k_reached, assumption_note=self.assumption_note)
         return d
 
+    def iter_text(self) -> Iterator[str]:
+        """The result as one line of text: the witness, the obstruction or the exhaustion."""
+        if self.outcome == FOUND:
+            yield f"found x={_format_decimal(self.x)} (anchor {self.anchor_index}, k={self.k})\n"
+        elif self.outcome == NOT_ATTAINABLE:
+            i, j = self.obstruction
+            yield (f"not attainable: bases {self.bases[i]},{self.bases[j]} exclude "
+                   f"digit pair {self.certificate.pair} "
+                   f"(no power certificate in c range {self.certificate.scan_range})\n")
+        else:
+            yield f"exhausted at k={self.k_reached}: {self.assumption_note}\n"
+
     @_json_reader
     def from_json_dict(cls, d: dict) -> "WitnessResult":
         """Rebuild a result from its bases and target, checking it against them.
@@ -143,8 +155,9 @@ class WitnessResult(_Record):
         A found x is rebuilt as target[anchor] * bases[anchor]**k, k bounded
         by the length of the payload's x before the power is taken, and must
         be a witness (``verified`` is recomputed, so it cannot vouch for x);
-        the payload's x must then be its canonical text.  An obstruction must
-        be a dependent pair whose recomputed verdict excludes the target.
+        the payload's x must then be its canonical text.  The obstruction and
+        its verdict are recomputed as find_witness finds them: the first
+        dependent pair of the bases whose power criterion excludes the target.
         """
         q = WitnessQuery(bases=d["bases"], target=d["target"])
         common = dict(outcome=d["outcome"], bases=q.bases, target=q.target)
@@ -159,18 +172,26 @@ class WitnessResult(_Record):
                 raise ValueError(f"the x of anchor {anchor} and k = {k} is not a witness")
             return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
-            i, j = map(index, d["obstruction"])
-            dep = pair_dependence(q.bases[i], q.bases[j]) if 0 <= i < j < len(q.bases) else None
-            if dep is None:
-                raise ValueError(f"obstruction {(i, j)} is not a dependent pair of the bases")
-            verdict = attainable_by_power_criterion(dep, q.target[i], q.target[j])
-            if verdict.attainable:
-                raise ValueError("the recomputed verdict of the obstruction attains the target")
-            return cls(**common, certificate=verdict, obstruction=(i, j))
+            found = _obstruction(pairwise_report(q.bases), q.target)
+            if found is None:
+                raise ValueError("no dependent pair of the bases excludes the target")
+            return cls(**common, obstruction=found[0], certificate=found[1])
         if d["outcome"] == EXHAUSTED:
             return cls(**common, k_reached=_check_count("k_reached", d["k_reached"]),
                        assumption_note=_exhaustion_note(pairwise_report(q.bases)))
         raise ValueError(f"unknown outcome {d['outcome']!r}")
+
+
+def _obstruction(
+    report: DependenceReport, target: tuple[int, ...]
+) -> tuple[tuple[int, int], AttainabilityVerdict] | None:
+    """((i, j), verdict) of the first dependent pair of the report whose power
+    criterion excludes (target[i], target[j]), or None if none does."""
+    for i, j, dep in report.dependent_pairs:
+        verdict = attainable_by_power_criterion(dep, target[i], target[j])
+        if not verdict.attainable:
+            return (i, j), verdict
+    return None
 
 
 def _exhaustion_note(report: DependenceReport) -> str:
@@ -317,16 +338,10 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     _check_cap("budget", query.budget, budget_cap)
     bases, target = query.bases, query.target
     report = pairwise_report(bases)
-    for i, j, dep in report.dependent_pairs:
-        verdict = attainable_by_power_criterion(dep, target[i], target[j])
-        if not verdict.attainable:
-            return WitnessResult(
-                outcome=NOT_ATTAINABLE,
-                bases=bases,
-                target=target,
-                certificate=verdict,
-                obstruction=(i, j),
-            )
+    found = _obstruction(report, target)
+    if found is not None:
+        return WitnessResult(outcome=NOT_ATTAINABLE, bases=bases, target=target,
+                             obstruction=found[0], certificate=found[1])
     anchors = [query.anchor]
     if query.retry_other_anchors:
         anchors += [i for i in range(len(bases)) if i != query.anchor]

@@ -789,15 +789,13 @@ def test_json_is_one_sorted_key_line(capsys, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
-# each report kind the CLI prints as JSON, with the library call that builds it
-JSON_REPORTS = {
-    "deps": (("deps", "--bases", "4,8,10,16", "--output", "json"),
-             lambda: pairwise_report((4, 8, 10, 16))),
+# each report kind the CLI prints, with the library call that builds it
+REPORTS = {
+    "deps": (("deps", "--bases", "4,8,10,16"), lambda: pairwise_report((4, 8, 10, 16))),
     "image dependent": (("image", "--bases", "27,9"), lambda: image_exact(27, 9)),
     "image trivial": (("image", "--bases", "3,10", "--allow-trivial"),
                       lambda: image_exact(3, 10, allow_independent=True)),
-    "table": (("table", "--bases", "9,27", "--output", "json"),
-              lambda: joint_table(pair_dependence(9, 27))),
+    "table": (("table", "--bases", "9,27"), lambda: joint_table(pair_dependence(9, 27))),
     "witness found": (("witness", "--bases", "3,10", "--target", "2,9"),
                       lambda: find_witness(WitnessQuery((3, 10), (2, 9)))),
     "witness not attainable": (("witness", "--bases", "4,8", "--target", "2,3"),
@@ -812,14 +810,20 @@ JSON_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("kind", JSON_REPORTS)
+@pytest.mark.parametrize("kind", REPORTS)
 def test_json_line_is_the_report_text_and_reads_back(capsys, kind):
-    argv, build = JSON_REPORTS[kind]
-    code, out, err = run(capsys, *argv)
+    argv, build = REPORTS[kind]
+    code, out, err = run(capsys, *argv, "--output", "json")
     obj = build()
     assert (code, out, err) == (0, obj.to_json_text() + "\n", "")
     line = out[:-1]
     assert type(obj).from_json_dict(json.loads(line)).to_json_text() == line
+
+
+@pytest.mark.parametrize("kind", REPORTS)
+def test_text_is_the_report_iter_text(capsys, kind):
+    argv, build = REPORTS[kind]
+    assert run(capsys, *argv, "--output", "text") == (0, "".join(build().iter_text()), "")
 
 
 def fresh_env() -> dict:

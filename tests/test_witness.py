@@ -358,6 +358,16 @@ class TestWitnessResultJson:
             with pytest.raises(ValueError):
                 WitnessResult.from_json_dict(bad)
 
+    def test_not_attainable_reads_back_only_the_first_excluding_pair(self):
+        # (8, 32) excludes (2, 3) too, but find_witness names the first pair, (4, 32)
+        payload = find_witness(WitnessQuery(bases=(4, 8, 32), target=(2, 2, 3))).to_json_dict()
+        assert payload["obstruction"] == [0, 2]
+        verdict = attainable_by_power_criterion(pair_dependence(8, 32), 2, 3)
+        assert not verdict.attainable
+        later = dict(payload, obstruction=[1, 2], certificate=verdict.to_json_dict())
+        with pytest.raises(ValueError, match="canonical JSON"):
+            WitnessResult.from_json_dict(later)
+
     def test_exhausted_rejects_bad_fields(self):
         payload = find_witness(
             WitnessQuery(bases=(3, 10, 7), target=(2, 9, 5), budget=1)
