@@ -9,8 +9,8 @@ a**c rises with c, so the criterion holds for some c iff it holds for the
 least c with a**c > j1/(j2+1), and that c is the smallest certificate.
 Along a row j1 that c falls as j2 rises and certifies a prefix of its j2
 range, so ``image_exact`` cuts each row into a few intervals by integer
-divisions, O(b1 * window), and its JSON is written with one join per
-interval.
+divisions from the row's least power, O(b1 * e2), and its JSON is written
+with one join per interval.
 The module independently tabulates the whole image through the combined
 base b = b1**e2 = b2**e1: the joint digit pair of x is a function of the
 single base-b leading digit of x.  The two routes must agree cell for
@@ -28,6 +28,7 @@ from operator import index, itemgetter
 from .dependence import DependencePair, pair_dependence
 from .digits import (
     DEFAULT_ENUMERATION_CAP,
+    _split,
     check_base,
     check_digit,
     digit_runs,
@@ -65,9 +66,9 @@ def power_criterion_holds(a: int, c: int, j1: int, j2: int) -> bool:
 def scan_window(dep: DependencePair) -> tuple[int, int]:
     """Inclusive c-window that holds every least power, with one unit of slack.
 
-    1/b2 <= j1/(j2+1) and j1/(j2+1) < b1, so the least c with
-    a**c > j1/(j2+1) lies in [1 - e2, e1]; the endpoints -(e2 + 1) and
-    e1 + 1 themselves provably fail the criterion, which the tests re-verify.
+    1/b2 <= j1/(j2+1) and j1/(j2+1) < b1, so the least c with a**c >
+    j1/(j2+1) lies in [1 - e2, e1], and the endpoints provably fail the
+    criterion.  Only a verdict's reported ``scan_range``; nothing scans it.
     """
     return -(dep.e2 + 1), dep.e1 + 1
 
@@ -123,26 +124,26 @@ class AttainabilityVerdict(_Record):
         return cls(pair=pair, attainable=attainable, certificate=c, scan_range=sr)
 
 
-def _row_intervals(dep: DependencePair, j1: int, end: int) -> tuple[tuple, ...]:
-    """Row j1 as intervals (j2_start, j2_stop, c or None) tiling j2 = 1..end-1.
+def _row_intervals(dep: DependencePair, j1: int, start: int, end: int) -> tuple[tuple, ...]:
+    """Row j1 as intervals (j2_start, j2_stop, c or None) tiling j2 = start..end-1.
 
     a**c = P/Q, the least power above j1/(j2+1), does not rise with j2 and
-    stays least while a**(c-1) <= j1/(j2+1), i.e. j2 < a*j1*Q // P.  Inside
-    one c the pair is attainable iff P*j2 < (j1+1)*Q, i.e. j2 <
-    ((j1+1)*Q - 1)//P + 1.  From the top of scan_window the walk passes each
-    c once: O(window) divisions, at most 2 * (window + 1) intervals.
+    stays least while a**(c-1) <= j1/(j2+1), i.e. j2 < a*j1*Q // P; in one c
+    the pair is attainable iff P*j2 < (j1+1)*Q, i.e. j2 < ((j1+1)*Q - 1)//P + 1.
+    One _split gives the least c at start, and each pass takes one c, then
+    c - 1: from start = 1, at most e2 + 1 passes of two divisions, 2 * (e2 + 1) intervals.
     """
-    a, j2 = dep.a, 1
-    c = scan_window(dep)[1]
-    P, Q, row = a**c, 1, []
+    a, j2, row = dep.a, start, []
+    c = _split(j1, start + 1, a)[0] + 1  # the least c with a**c > j1/(start+1)
+    P, Q = (a**c, 1) if c >= 0 else (1, a**-c)
     while j2 < end:
-        stop = min(a * j1 * Q // P, end)  # c is not least at j2 if stop <= j2
+        stop = min(a * j1 * Q // P, end)
         cut = max(j2, min(((j1 + 1) * Q - 1) // P + 1, stop))
         if cut > j2:
             row.append((j2, cut, c))
         if stop > cut:
             row.append((cut, stop, None))
-        j2 = max(j2, stop)
+        j2 = stop
         P, Q, c = (P // a, Q, c - 1) if c > 0 else (P, Q * a, c - 1)
     return tuple(row)
 
@@ -153,7 +154,7 @@ def attainable_by_power_criterion(
     """Decide whether (j1, j2) is attainable for the dependent pair.
 
     The pair is attainable iff the least power a**c above j1/(j2+1) is also
-    below (j1+1)/j2; the last interval of row j1 up to j2 carries that c.
+    below (j1+1)/j2: one _split and the one interval of row j1 at j2, O(log |c|).
 
     >>> dep = pair_dependence(4, 8)
     >>> attainable_by_power_criterion(dep, 2, 3).attainable
@@ -163,7 +164,7 @@ def attainable_by_power_criterion(
     """
     check_digit(j1, dep.base1)
     check_digit(j2, dep.base2)
-    c = _row_intervals(dep, j1, j2 + 1)[-1][2]
+    c = _row_intervals(dep, j1, j2, j2 + 1)[0][2]
     return AttainabilityVerdict(
         pair=(j1, j2), attainable=c is not None, certificate=c, scan_range=scan_window(dep)
     )
@@ -430,7 +431,7 @@ class ImageReport(_Record):
         ``excluded`` pairs, as one sorted-key line of ``json.dumps``.
 
         Written in parts straight from the rows, one join per interval:
-        O(b1 * window) Python steps plus the bytes.
+        O(b1 * e2) Python steps plus the bytes.
         """
         b1, b2 = self.bases
         j2s = list(map(str, range(b2)))  # str(j2) at index j2
@@ -482,9 +483,9 @@ def image_exact(
     IndependentBasesError unless allow_independent is set, in which case
     the report marks every pair attainable "by density" (no integer
     certificate exists or is needed).  Past DEFAULT_ENUMERATION_CAP pairs it
-    refuses before any row is built.  The rows cost O(b1 * window) integer
-    divisions whatever base2 is, and so does the Python work of writing
-    them out as JSON; only the bytes of that output grow as b1 * b2.
+    refuses before any row is built.  Each row starts at its least power from
+    one _split, so the rows cost O(b1 * e2) integer divisions, and so does the
+    Python work of writing them out as JSON; only the bytes grow as b1 * b2.
 
     >>> sorted(image_exact(4, 8).excluded)
     [(2, 3), (2, 6), (2, 7), (3, 2), (3, 4), (3, 5)]
@@ -502,5 +503,5 @@ def image_exact(
     if dep is None:
         rows = (((1, b2, "density"),),) * (b1 - 1)
     else:
-        rows = tuple(_row_intervals(dep, j1, b2) for j1 in range(1, b1))
+        rows = tuple(_row_intervals(dep, j1, 1, b2) for j1 in range(1, b1))
     return ImageReport(bases=(b1, b2), dependence=dep, rows=rows)

@@ -2,14 +2,19 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jointdigits
 from jointdigits import (
     AttainabilityVerdict,
     DependencePair,
@@ -93,6 +98,18 @@ SMALL_DEPENDENCES = [
     if e1 != e2 and gcd(e1, e2) == 1
     for dep in [DependencePair(a=a, e1=e1, e2=e2)]
     if min(dep.base1, dep.base2) >= 3 and dep.combined_base <= 5000
+]
+
+# roots 2..6 with coprime exponents up to 60, bases >= 3, combined base past
+# 5000: images past the pair cap, whose least powers lie far below the window top
+LARGE_DEPENDENCES = [
+    dep
+    for a in range(2, 7)
+    for e1 in range(1, 61)
+    for e2 in range(1, 61)
+    if e1 != e2 and gcd(e1, e2) == 1
+    for dep in [DependencePair(a=a, e1=e1, e2=e2)]
+    if min(dep.base1, dep.base2) >= 3 and dep.combined_base > 5000
 ]
 
 
@@ -300,16 +317,32 @@ class TestPowerCriterion:
                     assert v.certificate == criterion_oracle(dep.a, j1, j2)
                     assert v.attainable == (v.certificate is not None)
 
-    @given(dep=st.sampled_from(SMALL_DEPENDENCES), data=st.data())
-    @settings(max_examples=150, deadline=None)
+    @given(dep=st.sampled_from(SMALL_DEPENDENCES) | st.sampled_from(LARGE_DEPENDENCES),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
     def test_walk_matches_window_scan_oracle(self, dep, data):
         j1 = data.draw(st.integers(1, dep.base1 - 1), label="j1")
         j2 = data.draw(st.integers(1, dep.base2 - 1), label="j2")
         expected = window_scan_oracle(dep, j1, j2)
         assert attainable_by_power_criterion(dep, j1, j2) == expected
-        # image_exact carries the walk along the j1 row; verdicts are j1-major
-        row_major = _image_exact(dep.base1, dep.base2).verdicts
-        assert row_major[(j1 - 1) * (dep.base2 - 1) + j2 - 1] == expected
+        if dep.combined_base <= 5000:  # a large dependence's image is past the pair cap
+            # image_exact carries the walk along the j1 row; verdicts are j1-major
+            row_major = _image_exact(dep.base1, dep.base2).verdicts
+            assert row_major[(j1 - 1) * (dep.base2 - 1) + j2 - 1] == expected
+
+    def test_verdict_cost_does_not_grow_with_e1(self):
+        # b1 = 2**(10**6 + 1): a walk from the top of the window would take about
+        # 10**6 divisions of megabit integers; the least power comes from one split
+        code = ("from jointdigits import DependencePair, attainable_by_power_criterion\n"
+                "print(attainable_by_power_criterion(DependencePair(2, 10**6 + 1, 2), 1, 1)"
+                ".certificate)")
+        env = dict(os.environ)
+        src = str(Path(jointdigits.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_window_endpoints_provably_fail(self):
         # outside [lo, hi] the power is already past the admissible interval
@@ -609,7 +642,7 @@ class TestImageExact:
         lo, hi = scan_window(report.dependence)
         assert len(report.rows) == b1 - 1
         for row in report.rows:
-            assert len(row) <= 2 * (hi - lo + 1)
+            assert len(row) <= 2 * (report.dependence.e2 + 1)
             assert row[0][0] == 1 and row[-1][1] == b2
             for (_, stop, c), (start, _, c_next) in zip(row, row[1:]):
                 assert stop == start and not (c is None and c_next is None)
