@@ -13,7 +13,6 @@ roots, no factorization engine needed.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import compress
 from math import gcd, isqrt
@@ -258,13 +257,39 @@ class DependenceReport(_Record):
         return report
 
 
+def _groups(bases: tuple[int, ...]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The root groups (a, [(i, e_i), ...]), bases[i] = a**e_i, from one primitive_root pass.
+
+    Two bases are dependent iff they share a group.  Groups come in the
+    order of their first member, members in index order; singletons count.
+
+    >>> _groups((4, 8, 10))
+    [(2, [(0, 2), (1, 3)]), (10, [(2, 1)])]
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, b in enumerate(bases):
+        r = primitive_root(b)
+        groups.setdefault(r.root, []).append((i, r.exponent))
+    return list(groups.items())
+
+
+def _pairs(groups: list) -> Iterator[tuple[int, int, DependencePair]]:
+    """(i, j, certificate), lazily and in (i, j) order, for every i < j in one
+    of the _groups: a**e_i and a**e_j give a**g, e_i/g, e_j/g, g = gcd(e_i, e_j)."""
+    firsts = sorted((i, pos, a, members) for a, members in groups if len(members) > 1
+                    for pos, (i, _) in enumerate(members))
+    for i, pos, a, members in firsts:
+        e1 = members[pos][1]
+        for j, e2 in members[pos + 1:]:
+            g = gcd(e1, e2)
+            yield i, j, DependencePair(a=a**g, e1=e1 // g, e2=e2 // g)
+
+
 def pairwise_report(bases: Iterable[int]) -> DependenceReport:
     """The dependent pairs among distinct bases, in (i, j) order.
 
-    Two bases are dependent iff their canonical roots agree, so one
-    primitive_root per base and a grouping by root replace the C(n,2)
-    pair_dependence calls: the work is linear in n plus the number of
-    dependent pairs.
+    The same-group pairs of _groups, so the work is linear in n plus the
+    number of dependent pairs, not C(n,2) pair_dependence calls.
 
     >>> pairwise_report((4, 8, 10)).dependent_pairs
     ((0, 1, DependencePair(a=2, e1=2, e2=3)),)
@@ -272,15 +297,4 @@ def pairwise_report(bases: Iterable[int]) -> DependenceReport:
     bs = check_bases(bases)
     if len(bs) < 2:
         raise ValueError("need at least two bases")
-    roots = [primitive_root(b) for b in bs]
-    by_root = defaultdict(list)
-    for i, r in enumerate(roots):
-        by_root[r.root].append(i)
-    found = []
-    for i, r in enumerate(roots):
-        for j in by_root[r.root]:
-            if j > i:
-                e1, e2 = r.exponent, roots[j].exponent
-                g = gcd(e1, e2)
-                found.append((i, j, DependencePair(a=r.root**g, e1=e1 // g, e2=e2 // g)))
-    return DependenceReport(bases=bs, dependent_pairs=tuple(found))
+    return DependenceReport(bases=bs, dependent_pairs=tuple(_pairs(_groups(bs))))

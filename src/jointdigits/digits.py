@@ -461,8 +461,8 @@ class _MantissaCursor:
         self.bits = _MANTISSA_BITS
         self.bases = tuple(bases)
         # per base: the bit length of b**64, above 64 * log2(b) by at most
-        # one, and the powers b**e of its jumps so far
-        self.log64 = [(b**64).bit_length() for b in self.bases]
+        # one (0 until its first jump), and the powers b**e of its jumps so far
+        self.log64 = [0] * len(self.bases)
         self.powers = [{} for _ in self.bases]
         # per base: (n, x_n / b**m) at its last rebuild, and [n, lo, hi]
         self.exact = [(0, Fraction(x0))] * len(self.bases)
@@ -498,10 +498,11 @@ class _MantissaCursor:
                 lo, hi = lo // step, -(-hi // step)
             one, top = 1 << bits, b << bits
             if d > 1:
+                log64 = self.log64[i] = self.log64[i] or (b**64).bit_length()
                 # top * b**(e-1) < 2**(top.bit_length() + (e-1) * log64 / 64)
                 # <= 2**(lo.bit_length() - 1) <= lo: the loop below would
                 # divide at least e times
-                e = 64 * (lo.bit_length() - 1 - top.bit_length()) // self.log64[i] + 1
+                e = 64 * (lo.bit_length() - 1 - top.bit_length()) // log64 + 1
                 if e > 0:
                     powers = self.powers[i]
                     step = powers.get(e) or powers.setdefault(e, b**e)

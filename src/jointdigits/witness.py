@@ -26,10 +26,10 @@ certificate: those are provably not attainable at any budget.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
-from .dependence import DependenceReport, pairwise_report
+from .dependence import _groups, _pairs
 from .digits import (
     DEFAULT_SCAN_CAP,
     _MantissaCursor,
@@ -128,10 +128,8 @@ class WitnessResult(_Record):
                 verified=verify_witness(self.x, self.bases, self.target),
             )
         elif self.outcome == NOT_ATTAINABLE:
-            d.update(
-                certificate=self.certificate.to_json_dict(),
-                obstruction=list(self.obstruction),
-            )
+            d.update(certificate=self.certificate.to_json_dict(),
+                     obstruction=list(self.obstruction))
         else:
             d.update(k_reached=self.k_reached, assumption_note=self.assumption_note)
         return d
@@ -172,43 +170,44 @@ class WitnessResult(_Record):
                 raise ValueError(f"the x of anchor {anchor} and k = {k} is not a witness")
             return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
-            found = _obstruction(pairwise_report(q.bases), q.target)
+            found = _obstruction(_groups(q.bases), q.target)
             if found is None:
                 raise ValueError("no dependent pair of the bases excludes the target")
             return cls(**common, obstruction=found[0], certificate=found[1])
         if d["outcome"] == EXHAUSTED:
             return cls(**common, k_reached=_check_count("k_reached", d["k_reached"]),
-                       assumption_note=_exhaustion_note(pairwise_report(q.bases)))
+                       assumption_note=_exhaustion_note(_groups(q.bases)))
         raise ValueError(f"unknown outcome {d['outcome']!r}")
 
 
 def _obstruction(
-    report: DependenceReport, target: tuple[int, ...]
+    groups: list, target: tuple[int, ...]
 ) -> tuple[tuple[int, int], AttainabilityVerdict] | None:
-    """((i, j), verdict) of the first dependent pair of the report whose power
-    criterion excludes (target[i], target[j]), or None if none does."""
-    for i, j, dep in report.dependent_pairs:
+    """((i, j), verdict) of the first pair, in (i, j) order, of the _groups
+    whose power criterion excludes (target[i], target[j]), or None."""
+    for i, j, dep in _pairs(groups):
         verdict = attainable_by_power_criterion(dep, target[i], target[j])
         if not verdict.attainable:
             return (i, j), verdict
     return None
 
 
-def _exhaustion_note(report: DependenceReport) -> str:
-    """What an exhausted scan over the report's bases does and does not show."""
-    if report.dependent_pairs:
+def _exhaustion_note(groups: list) -> str:
+    """What an exhausted scan over the bases of the _groups does and does not show."""
+    n = sum(len(members) for _, members in groups)
+    if len(groups) < n:  # some group has two or more members
         note = (
             "budget exhausted; the target passes the power criterion of every "
             "dependent pair of the bases, so exhaustion is inconclusive, not a "
             "certificate of non-attainability"
         )
-        if len(report.bases) == 2:
+        if n == 2:
             note += (
                 "; the anchored scan of a dependent pair is periodic, so retry "
                 "from the other anchor"
             )
         return note
-    if len(report.bases) == 2:
+    if n == 2:
         return (
             "budget exhausted; for two multiplicatively independent bases a "
             "witness is guaranteed to exist (the joint digit map is surjective), "
@@ -247,10 +246,9 @@ def _return_gaps(anchor_base: int, b: int, j: int, limit: int) -> tuple[int, ...
     return tuple(sorted({r1, r2, r1 + r2}))
 
 
-def _scan_anchor(
-    report: DependenceReport, target: tuple[int, ...], anchor: int, budget: int
-) -> tuple[int, int] | None:
-    """Scan x_k = target[anchor] * bases[anchor]**k, bases = report.bases, for k = 0..budget.
+def _scan_anchor(bases: tuple[int, ...], group: list[tuple[int, int]], rank: list[int],
+                 target: tuple[int, ...], anchor: int, budget: int) -> tuple[int, int] | None:
+    """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget; group is the anchor's.
 
     Returns (x, k) for the first k whose candidate matches every
     non-anchor digit.  A mantissa cursor reads each other base's digit of
@@ -258,9 +256,9 @@ def _scan_anchor(
     integers however many bits x_k has; x_k itself is built only for the
     hit.  Each candidate stops at the first base whose digit misses.
 
-    The read order is fixed before k = 0: the bases independent of the
-    anchor, then the dependent ones, each group rarest first by the integer
-    rank (2j + 1) * bit_length(b**16), about 46 mean gaps 1/l, where
+    The read order is fixed before k = 0: the bases outside the anchor's
+    root group, then its other members, each part rarest first by rank,
+    the integer (2j + 1) * bit_length(b**16), about 46 mean gaps 1/l, where
     l = log_b(1 + 1/j) and 1/l = ln(b) / ln(1 + 1/j) ~ (j + 1/2) * ln(b).
     The scan steps k by one while the first base misses.  The first time
     it hits and another base misses, its _return_gaps are searched up to a
@@ -272,21 +270,19 @@ def _scan_anchor(
     that hits: the k between are misses of that base, so the hit it
     returns is the linear scan's, after about 3 * budget * l reads instead
     of budget + 1.  A jump that lands on a miss of the first base
-    contradicts the theorem and raises RuntimeError.  When every other
-    base shares the anchor's root, the candidates' digits repeat with
-    period L, the lcm of those bases' periods, and the scan stops at
-    k = L - 1.
+    contradicts the theorem and raises RuntimeError.  When the anchor's
+    root group holds every base, the candidates' digits repeat with
+    period L, the lcm of the other members' periods, and the scan stops
+    at k = L - 1.
     """
-    bases = report.bases
-    # base i = a**e_i and the anchor a**e share a root: x_(k+e_i) = x_k * b_i**e
-    # has the digit of x_k in base i, so that digit has period e_i
-    periods = {i + j - anchor: dep.e2 if i == anchor else dep.e1
-               for i, j, dep in report.dependent_pairs if anchor in (i, j)}
+    e = dict(group)[anchor]
+    # base i = a**e_i shares the root a with the anchor a**e: with g = gcd(e_i, e),
+    # x_(k+e_i/g) = x_k * b_i**(e/g), so the digit in base i has period e_i/g
+    periods = {i: e_i // gcd(e_i, e) for i, e_i in group if i != anchor}
     if len(periods) == len(bases) - 1:
         budget = min(budget, lcm(*periods.values()) - 1)
-    rank = {i: (2 * target[i] + 1) * (bases[i] ** 16).bit_length()
-            for i in range(len(bases)) if i != anchor}
-    others = sorted(rank, key=lambda i: (i in periods, -rank[i]))
+    others = sorted((i for i in range(len(bases)) if i != anchor),
+                    key=lambda i: (i in periods, -rank[i]))
     cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
     wanted = list(enumerate(target[i] for i in others))
     first, k, gaps = others[0], 0, None
@@ -326,7 +322,8 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     target digit j), and the x it returns (like the exact mantissa of a
     rare fallback) has up to budget * log2(b) bits.  Stage 1
     rejects targets excluded by any dependent pair of the bases (provable,
-    budget-independent).  Stage 2 runs the anchored scan from
+    budget-independent), from the root groups, which like the read ranks
+    are computed once per query.  Stage 2 runs the anchored scan from
     query.anchor; stage 3 retries the remaining anchors.  Among anchors
     tried, the first (anchor order, then k) hit wins, deterministically.
 
@@ -337,45 +334,33 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     """
     _check_cap("budget", query.budget, budget_cap)
     bases, target = query.bases, query.target
-    report = pairwise_report(bases)
-    found = _obstruction(report, target)
+    groups = _groups(bases)
+    found = _obstruction(groups, target)
     if found is not None:
         return WitnessResult(outcome=NOT_ATTAINABLE, bases=bases, target=target,
                              obstruction=found[0], certificate=found[1])
     anchors = [query.anchor]
     if query.retry_other_anchors:
         anchors += [i for i in range(len(bases)) if i != query.anchor]
+    rank = [(2 * j + 1) * (b**16).bit_length() for b, j in zip(bases, target)]
+    group_of = {i: members for _, members in groups for i, _ in members}
     for anchor in anchors:
-        found = _scan_anchor(report, target, anchor, query.budget)
+        found = _scan_anchor(bases, group_of[anchor], rank, target, anchor, query.budget)
         if found is not None:
             x, k = found
             # independent re-check by the from-scratch route; survives python -O
             if leading_digit_tuple(x, bases) != target:
                 raise RuntimeError(f"anchored scan returned a non-witness x = {x}")
-            return WitnessResult(
-                outcome=FOUND,
-                bases=bases,
-                target=target,
-                x=x,
-                anchor_index=anchor,
-                k=k,
-            )
-    return WitnessResult(
-        outcome=EXHAUSTED,
-        bases=bases,
-        target=target,
-        k_reached=query.budget,
-        assumption_note=_exhaustion_note(report),
-    )
+            return WitnessResult(outcome=FOUND, bases=bases, target=target,
+                                 x=x, anchor_index=anchor, k=k)
+    return WitnessResult(outcome=EXHAUSTED, bases=bases, target=target,
+                         k_reached=query.budget, assumption_note=_exhaustion_note(groups))
 
 
 def verify_witness(x, bases: Iterable[int], target: Iterable[int]) -> bool:
     """True iff the joint digits of x equal the target; pure recomputation."""
-    bs = check_bases(bases)
-    tgt = tuple(target)
-    if len(tgt) != len(bs):
-        return False
-    return leading_digit_tuple(x, bs) == tgt
+    bs, tgt = check_bases(bases), tuple(target)
+    return len(tgt) == len(bs) and leading_digit_tuple(x, bs) == tgt
 
 
 def image_observed(

@@ -14,29 +14,37 @@ the oracle of the digit odometer in digit_runs.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jointdigits.digits
 import jointdigits.witness
 from jointdigits import (
     WitnessQuery,
+    attainable_by_power_criterion,
     digit_runs,
     find_witness,
     leading_digit,
     orbit_sample,
+    pair_dependence,
+    pairwise_report,
+    primitive_root,
 )
-from jointdigits.dependence import pairwise_report
+from jointdigits.dependence import _groups
 from jointdigits.digits import _MantissaCursor
 from jointdigits.witness import _return_gaps
-from jointdigits.witness import _scan_anchor as _scan_report_anchor
+from jointdigits.witness import _scan_anchor as _scan_group_anchor
 
 
 def _scan_anchor(bases, target, anchor, budget):
-    """The anchored scan of the bases, through their pairwise_report."""
-    return _scan_report_anchor(pairwise_report(bases), target, anchor, budget)
+    """The anchored scan of the bases, fed the anchor's root group and the
+    read ranks, as find_witness computes them once per query."""
+    group = next(m for _, m in _groups(bases) if anchor in dict(m))
+    rank = [(2 * j + 1) * (b**16).bit_length() for b, j in zip(bases, target)]
+    return _scan_group_anchor(bases, group, rank, target, anchor, budget)
 
 
 def _exact(v):
@@ -119,11 +127,53 @@ rational_ratios = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**
 )
 
 
+@st.composite
+def mixed_group_queries(draw):
+    # one to three of the roots 2, 3, 5, 6 and 7, each to one to three
+    # exponents up to 12, so that root groups of two or more members come
+    # up side by side, and 0-2 bases of other roots
+    bases = []
+    for a in draw(st.lists(st.sampled_from((2, 3, 5, 6, 7)), min_size=1, max_size=3, unique=True)):
+        exponents = st.integers(2 if a == 2 else 1, 12)
+        bases += [a**e for e in draw(st.lists(exponents, min_size=1, max_size=3, unique=True))]
+    other = st.integers(3, 200).filter(lambda b: primitive_root(b).root > 7)
+    bases += draw(st.lists(other, max_size=2, unique=True))
+    assume(len(bases) >= 2)
+    bases = tuple(draw(st.permutations(bases)))
+    # small digits have the widest arcs, so that some targets are hit
+    target = tuple(draw(st.integers(1, min(3, b - 1)) | st.integers(1, b - 1)) for b in bases)
+    return bases, target
+
+
 class TestWitnessScan:
     @given(query=scan_queries())
     @settings(max_examples=200, deadline=None)
     def test_matches_exact_scan(self, query):
         assert _scan_anchor(*query) == exact_scan_anchor(*query)
+
+    @given(query=mixed_group_queries())
+    # the group of root 2 comes first, but its first excluding pair (3, 4)
+    # comes after the pair (1, 2) of root 3 in (i, j) order
+    @example(query=((4, 9, 27, 8, 32), (1, 4, 25, 4, 31)))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_groups_match_exact_scan_and_pairwise_obstruction(self, query):
+        # the scan, fed the root groups, against the exact walk from every
+        # anchor; the obstruction read lazily from the groups against the
+        # first excluding pair of all C(n,2) pairs, each decided on its own
+        bases, target = query
+        for anchor in range(len(bases)):
+            assert _scan_anchor(bases, target, anchor, 300) == \
+                exact_scan_anchor(bases, target, anchor, 300)
+        deps = ((i, j, pair_dependence(bases[i], bases[j]))
+                for i, j in combinations(range(len(bases)), 2))
+        excluding = ((i, j, attainable_by_power_criterion(dep, target[i], target[j]))
+                     for i, j, dep in deps if dep is not None)
+        first = next((((i, j), v) for i, j, v in excluding if not v.attainable), None)
+        r = find_witness(WitnessQuery(bases, target, budget=1))
+        if first is None:
+            assert r.outcome != "not_attainable"
+        else:
+            assert (r.outcome, r.obstruction, r.certificate) == ("not_attainable", *first)
 
     @pytest.mark.parametrize("bases", [(3, 10), (6, 10), (3, 5, 7), (4, 8, 10)])
     def test_every_target_of_small_bases(self, bases):

@@ -18,7 +18,7 @@ from jointdigits import (
     pairwise_report,
     primitive_root,
 )
-from jointdigits.dependence import MAX_BASE_BITS
+from jointdigits.dependence import MAX_BASE_BITS, _groups
 
 
 def brute_force_dependent(b1, b2, a_max=256, e_max=8):
@@ -234,7 +234,16 @@ class TestPairwiseReport:
 
     @given(bases=st.lists(base_values, min_size=2, max_size=12, unique=True))
     def test_matches_all_pairs_oracle(self, bases):
-        assert pairwise_report(bases) == all_pairs_report(bases)
+        report = pairwise_report(bases)
+        assert report == all_pairs_report(bases)
+        # the root groups partition the indices, one group per root, members
+        # in index order, and their same-group pairs are the report's pairs
+        groups = _groups(tuple(bases))
+        assert sorted(i for _, m in groups for i, _ in m) == list(range(len(bases)))
+        assert len({a for a, _ in groups}) == len(groups)
+        assert all(m == sorted(m) and a**e == bases[i] for a, m in groups for i, e in m)
+        same_group = sorted((i, j) for _, m in groups for (i, _), (j, _) in combinations(m, 2))
+        assert same_group == [(i, j) for i, j, _ in report.dependent_pairs]
 
 
 class TestJsonRoundTrip:

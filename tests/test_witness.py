@@ -23,9 +23,9 @@ from jointdigits import (
     leading_digit,
     leading_digit_tuple,
     pair_dependence,
-    pairwise_report,
     verify_witness,
 )
+from jointdigits.dependence import _groups
 from jointdigits.witness import _exhaustion_note
 
 
@@ -134,15 +134,15 @@ class TestFindWitness:
         assert r.found
         assert verify_witness(r.x, (3, 10, 7), (2, 4, 3))
 
-    def test_one_dependence_report_per_query(self, monkeypatch):
-        # every anchor the query tries scans with the report of its first stage
+    def test_one_grouping_per_query(self, monkeypatch):
+        # every anchor the query tries scans with the root groups of its first stage
         calls = []
 
         def counted(bases):
             calls.append(bases)
-            return pairwise_report(bases)
+            return _groups(bases)
 
-        monkeypatch.setattr(jointdigits.witness, "pairwise_report", counted)
+        monkeypatch.setattr(jointdigits.witness, "_groups", counted)
         r = find_witness(WitnessQuery(bases=(3, 10, 7), target=(2, 9, 5), budget=1))
         assert r.outcome == "exhausted"
         assert calls == [(3, 10, 7)]
@@ -153,7 +153,7 @@ def test_recheck_survives_optimize_flag():
     code = textwrap.dedent(
         """
         import jointdigits.witness as w
-        w._scan_anchor = lambda report, target, anchor, budget: (10, 0)
+        w._scan_anchor = lambda bases, group, rank, target, anchor, budget: (10, 0)
         try:
             w.find_witness(w.WitnessQuery(bases=(3, 10), target=(2, 9)))
         except RuntimeError as exc:
@@ -405,7 +405,7 @@ class TestWitnessResultJson:
         rebuilt = WitnessResult.from_json_dict(payload)
         assert rebuilt.assumption_note == payload["assumption_note"]
         # the note of pairwise-independent bases is refused for these bases
-        independent_note = _exhaustion_note(pairwise_report((3, 10, 7)[:len(query.bases)]))
+        independent_note = _exhaustion_note(_groups((3, 10, 7)[:len(query.bases)]))
         with pytest.raises(ValueError):
             WitnessResult.from_json_dict(dict(payload, assumption_note=independent_note))
 
