@@ -18,7 +18,7 @@ from itertools import compress
 from math import gcd, isqrt
 from operator import index
 
-from .digits import check_base, check_bases
+from .digits import _split, check_base, check_bases
 from .errors import _Record, _check_cap, _check_power, _json_reader
 
 __all__ = [
@@ -271,6 +271,42 @@ def _groups(bases: tuple[int, ...]) -> list[tuple[int, list[tuple[int, int]]]]:
         r = primitive_root(b)
         groups.setdefault(r.root, []).append((i, r.exponent))
     return list(groups.items())
+
+
+def _group_class(
+    a: int, members: list[tuple[int, int]], target: tuple[int, ...]
+) -> tuple[int, int, tuple[int, int]] | None:
+    """The one condition (R, M, L) on x under which each member base a**e_i of a
+    root group has leading digit target[i], or None if no x has them all.
+
+    With m_i = floor(log_a t_i), x has digit t_i in a**e_i iff floor(log_a x)
+    = m_i (mod e_i) and the mantissa x / a**floor(log_a x) lies in
+    [t_i, t_i + 1) / a**m_i.  Congruences are jointly solvable iff every two
+    are (CRT) and intervals meet iff every two do (Helly), so one pass merges
+    them: floor(log_a x) = R (mod M), M the lcm of the e_i, and the mantissa
+    in [L, U), U the least (t_i + 1) / a**m_i and L = (p, q), the greatest
+    t_i / a**m_i, as two ints p / q.  Every comparison cross-multiplies ints.
+
+    >>> _group_class(2, [(0, 2), (1, 3)], (3, 7))  # 4 = 2**2 and 8 = 2**3: x = 56
+    (5, 6, (7, 4))
+    >>> _group_class(2, [(0, 2), (1, 3)], (2, 3)) is None
+    True
+    """
+    # floor(log_a x) = 0 (mod 1) and a mantissa in [1, a) hold for every x
+    r, modulus, (lp, lq), (up, uq) = 0, 1, (1, 1), (a, 1)
+    for i, e in members:
+        m, t, power = _split(target[i], 1, a)
+        if t * lq > lp * power:
+            lp, lq = t, power
+        if (t + 1) * uq < up * power:
+            up, uq = t + 1, power
+        g = gcd(modulus, e)
+        if (m - r) % g or lp * uq >= up * lq:
+            return None
+        # r + modulus * s = m (mod e): s = (m - r) / g * (modulus / g)**-1 (mod e / g)
+        r += modulus * ((m - r) // g * pow(modulus // g, -1, e // g) % (e // g))
+        modulus = modulus // g * e
+    return r, modulus, (lp, lq)
 
 
 def _pairs(groups: list) -> Iterator[tuple[int, int, DependencePair]]:

@@ -1,40 +1,46 @@
 """Explicit witnesses for joint leading-digit targets.
 
 A witness for (bases, target) is a number x whose leading digit in
-bases[i] is target[i] for every i.  The search strategy pins one
-coordinate exactly: the candidates x_k = target[i] * bases[i]**k all have
-leading digit target[i] in bases[i] (digit string target[i] followed by k
-zeros), so only the other coordinates need checking, and each check is an
-exact integer comparison.  The other bases are read in one order fixed
-before the scan, the rarest base independent of the anchor first; only
-the k at which it has its target digit can hit, and the gaps between
-those k take at most three values (the three-gap theorem on return
-times), so the scan jumps from one such k to the next rather than
-stepping through every k.  For two independent bases the fractional parts
-of log_{b_j}(x_k) form an irrational rotation, so a hit is guaranteed and
-the budget bounds time only; for three or more pairwise-independent bases
-termination is conjectural (Schanuel), so running out of budget is an
-explicit, labeled outcome rather than a claim of non-attainability.  With
-a dependent pair among the bases the note says only that the target
-passes every dependent pair's criterion: exhaustion is inconclusive.
+bases[i] is target[i] for every i.  The bases fall into root groups, the
+powers a**e_i of one root a, and inside a group the target is one exact
+condition on x (dependence._group_class): floor(log_a x) in one residue
+class and the base-a mantissa of x in one interval.  A target that some
+group's condition rejects is rejected up front, with the first dependent
+pair whose power-interval criterion excludes it as the certificate: it
+is provably not attainable at any budget.
 
-Targets whose projection to some multiplicatively dependent pair of the
-bases fails the power-interval criterion are rejected up front with that
-certificate: those are provably not attainable at any budget.
+The search pins one coordinate exactly: the candidates
+x_k = target[i] * bases[i]**k all have leading digit target[i] in
+bases[i] (digit string target[i] followed by k zeros).  Their base-a
+mantissa is fixed, so the anchor's group holds at no k or on one residue
+class of k, and the scan steps through that class, reading only the
+bases outside the group, each check an exact integer comparison.  The
+other bases are read in one order fixed before the scan, rarest first;
+only the candidates at which the first has its target digit can hit, and
+the gaps between those take at most three values (the three-gap theorem
+on return times), so the scan jumps from one to the next rather than
+stepping through every candidate.  For two independent bases the
+fractional parts of log_{b_j}(x_k) form an irrational rotation, so a hit
+is guaranteed and the budget bounds time only; for three or more
+pairwise-independent bases termination is conjectural (Schanuel), so
+running out of budget is an explicit, labeled outcome rather than a claim
+of non-attainability.  With a dependent pair among the bases the note
+says only that the target passes every dependent pair's criterion:
+exhaustion is inconclusive.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import gcd, lcm
 from operator import index
 
-from .dependence import _groups, _pairs
+from .dependence import _group_class, _groups, _pairs
 from .digits import (
     DEFAULT_SCAN_CAP,
     _MantissaCursor,
     _check_count,
     _format_decimal,
+    _split,
     check_bases,
     check_digit,
     digit_runs,
@@ -170,7 +176,7 @@ class WitnessResult(_Record):
                 raise ValueError(f"the x of anchor {anchor} and k = {k} is not a witness")
             return cls(**common, x=x, anchor_index=anchor, k=k)
         if d["outcome"] == NOT_ATTAINABLE:
-            found = _obstruction(_groups(q.bases), q.target)
+            found = _obstruction(_classed_groups(q.bases, q.target), q.target)
             if found is None:
                 raise ValueError("no dependent pair of the bases excludes the target")
             return cls(**common, obstruction=found[0], certificate=found[1])
@@ -180,21 +186,37 @@ class WitnessResult(_Record):
         raise ValueError(f"unknown outcome {d['outcome']!r}")
 
 
+def _classed_groups(bases: tuple[int, ...], target: tuple[int, ...]) -> list:
+    """The _groups of the bases as (a, members, class), the class of the
+    target from _group_class, None where no x has the members' digits."""
+    return [(a, members, _group_class(a, members, target)) for a, members in _groups(bases)]
+
+
 def _obstruction(
     groups: list, target: tuple[int, ...]
 ) -> tuple[tuple[int, int], AttainabilityVerdict] | None:
-    """((i, j), verdict) of the first pair, in (i, j) order, of the _groups
-    whose power criterion excludes (target[i], target[j]), or None."""
-    for i, j, dep in _pairs(groups):
+    """((i, j), verdict) of the first pair, in (i, j) order, of the
+    _classed_groups whose power criterion excludes (target[i], target[j]),
+    or None.
+
+    A pair's criterion is its group's condition on two members, and a group
+    without a class holds an excluding pair (CRT and Helly), so only those
+    groups are walked; one that holds none raises RuntimeError.
+    """
+    failing = [(a, members) for a, members, c in groups if c is None]
+    for i, j, dep in _pairs(failing):
         verdict = attainable_by_power_criterion(dep, target[i], target[j])
         if not verdict.attainable:
             return (i, j), verdict
+    if failing:
+        raise RuntimeError(f"the root groups of {[a for a, _ in failing]} reject the "
+                           "target, but no pair of them excludes it")
     return None
 
 
 def _exhaustion_note(groups: list) -> str:
-    """What an exhausted scan over the bases of the _groups does and does not show."""
-    n = sum(len(members) for _, members in groups)
+    """What an exhausted scan over the bases of the root groups does and does not show."""
+    n = sum(len(group[1]) for group in groups)
     if len(groups) < n:  # some group has two or more members
         note = (
             "budget exhausted; the target passes the power criterion of every "
@@ -246,69 +268,78 @@ def _return_gaps(anchor_base: int, b: int, j: int, limit: int) -> tuple[int, ...
     return tuple(sorted({r1, r2, r1 + r2}))
 
 
-def _scan_anchor(bases: tuple[int, ...], group: list[tuple[int, int]], rank: list[int],
+def _scan_anchor(bases: tuple[int, ...], group: tuple, rank: list[int],
                  target: tuple[int, ...], anchor: int, budget: int) -> tuple[int, int] | None:
-    """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget; group is the anchor's.
+    """Scan x_k = target[anchor] * bases[anchor]**k for k = 0..budget.
 
-    Returns (x, k) for the first k whose candidate matches every
-    non-anchor digit.  A mantissa cursor reads each other base's digit of
-    x_k from fixed-point bounds, so a read costs O(1) operations on small
-    integers however many bits x_k has; x_k itself is built only for the
-    hit.  Each candidate stops at the first base whose digit misses.
+    group is the anchor's (a, members, (R, M, L)) from _classed_groups: its
+    members have their digits at x iff floor(log_a x) = R (mod M) and the
+    base-a mantissa of x is in [L, U).  With bases[anchor] = a**e and
+    t = target[anchor], every x_k has the mantissa t / a**m, m =
+    floor(log_a t), at least L as the anchor is a member: unless it is L no
+    k hits, and otherwise the group holds exactly at the candidates
+    k = k0 (mod M / e), m + e * k0 = R (mod M).  Only those are scanned, and
+    only the bases outside the group are read.
 
-    The read order is fixed before k = 0: the bases outside the anchor's
-    root group, then its other members, each part rarest first by rank,
-    the integer (2j + 1) * bit_length(b**16), about 46 mean gaps 1/l, where
-    l = log_b(1 + 1/j) and 1/l = ln(b) / ln(1 + 1/j) ~ (j + 1/2) * ln(b).
-    The scan steps k by one while the first base misses.  The first time
-    it hits and another base misses, its _return_gaps are searched up to a
-    quarter of its rank, or the rest of the budget if less: near a
-    rational alpha a return time can run far past the mean gap, and the
-    search is cut short, leaving the scan linear, as it is when the first
-    base depends on the anchor.  From then on the scan jumps from each hit
-    of the first base to its next, the first of k + g for g in the gaps
-    that hits: the k between are misses of that base, so the hit it
-    returns is the linear scan's, after about 3 * budget * l reads instead
-    of budget + 1.  A jump that lands on a miss of the first base
-    contradicts the theorem and raises RuntimeError.  When the anchor's
-    root group holds every base, the candidates' digits repeat with
-    period L, the lcm of the other members' periods, and the scan stops
-    at k = L - 1.
+    Returns (x, k) for the first candidate that matches every other digit.
+    A mantissa cursor reads each base's digit of x_k from fixed-point
+    bounds, so a read costs O(1) operations on small integers however many
+    bits x_k has; x_k itself is built only for the hit.  Each candidate
+    stops at the first base whose digit misses.
+
+    The read order is fixed before the first candidate, rarest first by
+    rank, the integer (2j + 1) * bit_length(b**16), about 46 mean gaps 1/l,
+    where l = log_b(1 + 1/j) and 1/l = ln(b) / ln(1 + 1/j) ~ (j + 1/2) * ln(b).
+    The scan steps to the next candidate while the first base misses.  The
+    first time it hits, another base misses and a candidate is left, its
+    _return_gaps under the rotation by bases[anchor]**(M / e) are searched
+    up to a quarter of its rank, or the candidates left if fewer: near a
+    rational rotation a return time can run far past the mean gap, and the
+    search is cut short, leaving the scan linear.  From then on the scan
+    jumps from each hit of the first base to its next, the first of n + g
+    for g in the gaps that hits: the candidates between are misses of that
+    base, so the hit it returns is the linear scan's, after about
+    3 * budget * l reads instead of budget + 1.  A jump that lands on a miss
+    of the first base contradicts the theorem and raises RuntimeError.
     """
-    e = dict(group)[anchor]
-    # base i = a**e_i shares the root a with the anchor a**e: with g = gcd(e_i, e),
-    # x_(k+e_i/g) = x_k * b_i**(e/g), so the digit in base i has period e_i/g
-    periods = {i: e_i // gcd(e_i, e) for i, e_i in group if i != anchor}
-    if len(periods) == len(bases) - 1:
-        budget = min(budget, lcm(*periods.values()) - 1)
-    others = sorted((i for i in range(len(bases)) if i != anchor),
-                    key=lambda i: (i in periods, -rank[i]))
-    cursor = _MantissaCursor([bases[i] for i in others], target[anchor], bases[anchor])
+    a, members, (r, modulus, (lp, lq)) = group
+    exponents, t = dict(members), target[anchor]
+    m, _, power = _split(t, 1, a)
+    stride = modulus // exponents[anchor]
+    k0 = (r - m) // exponents[anchor] % stride
+    if t * lq != lp * power or k0 > budget:
+        return None
+    last = (budget - k0) // stride  # the candidates are k0 + n * stride, n = 0..last
+    others = sorted((i for i in range(len(bases)) if i not in exponents), key=lambda i: -rank[i])
+    cursor = _MantissaCursor([bases[i] for i in others], t, bases[anchor])
     wanted = list(enumerate(target[i] for i in others))
-    first, k, gaps = others[0], 0, None
-    while k <= budget:
+    n, gaps = 0, None
+    while n <= last:
+        k = k0 + n * stride
         for i, j in wanted:
             if cursor.digit(i, k) != j:
                 break
         else:
-            return target[anchor] * bases[anchor] ** k, k
+            return t * bases[anchor] ** k, k
         if i == 0:  # the first base misses
             if gaps is not None and len(gaps) > 1:
-                raise RuntimeError(f"base {bases[first]} misses at k = {k}, one of the "
+                raise RuntimeError(f"base {cursor.bases[0]} misses at k = {k}, one of the "
                                    f"return times {gaps} after one of its hits")
-            k += 1
+            n += 1
             continue
+        if n == last:
+            break
         if gaps is None:  # it hits and base i misses: find its return times, once
-            gaps = (1,) if first in periods else _return_gaps(
-                bases[anchor], bases[first], target[first], min(budget - k, rank[first] // 4))
-        # the next k is the first return of the first base that hits; the
-        # last return is taken unread, as that base is read first at k
+            gaps = _return_gaps(bases[anchor] ** stride, cursor.bases[0], wanted[0][1],
+                                min(last - n, rank[others[0]] // 4))
+        # the next candidate is the first return of the first base that hits;
+        # the last return is taken unread, as that base is read first there
         g = gaps[-1]
         for gap in gaps[:-1]:
-            if k + gap > budget or cursor.digit(0, k + gap) == target[first]:
+            if n + gap > last or cursor.digit(0, k + gap * stride) == wanted[0][1]:
                 g = gap
                 break
-        k += g
+        n += g
     return None
 
 
@@ -316,14 +347,15 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     """Find x with the requested joint digits, or certify why not / give up.
 
     A budget above ``budget_cap`` is refused before any work: the scan reads
-    up to budget + 1 candidates per anchor (on three or more bases, about
-    3 * budget * log_b(1 + 1/j) once it jumps between the hits of the
-    first base it reads, the rarest b independent of the anchor, with
-    target digit j), and the x it returns (like the exact mantissa of a
-    rare fallback) has up to budget * log2(b) bits.  Stage 1
-    rejects targets excluded by any dependent pair of the bases (provable,
-    budget-independent), from the root groups, which like the read ranks
-    are computed once per query.  Stage 2 runs the anchored scan from
+    up to budget + 1 candidates per anchor (fewer once it jumps between the
+    hits of the first base it reads, the rarest b outside the anchor's root
+    group, with target digit j: about 3 * budget * log_b(1 + 1/j)), and the
+    x it returns (like the exact mantissa of a rare fallback) has up to
+    budget * log2(b) bits.  Stage 1 takes each root group's one condition,
+    _group_class, once per query like the read ranks, and walks the pairs
+    of a group only when it has none, to reject the target with the first
+    dependent pair in (i, j) order whose power criterion excludes it
+    (provable, budget-independent).  Stage 2 runs the anchored scan from
     query.anchor; stage 3 retries the remaining anchors.  Among anchors
     tried, the first (anchor order, then k) hit wins, deterministically.
 
@@ -334,7 +366,7 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     """
     _check_cap("budget", query.budget, budget_cap)
     bases, target = query.bases, query.target
-    groups = _groups(bases)
+    groups = _classed_groups(bases, target)
     found = _obstruction(groups, target)
     if found is not None:
         return WitnessResult(outcome=NOT_ATTAINABLE, bases=bases, target=target,
@@ -343,7 +375,7 @@ def find_witness(query: WitnessQuery, *, budget_cap: int = DEFAULT_SCAN_CAP) -> 
     if query.retry_other_anchors:
         anchors += [i for i in range(len(bases)) if i != query.anchor]
     rank = [(2 * j + 1) * (b**16).bit_length() for b, j in zip(bases, target)]
-    group_of = {i: members for _, members in groups for i, _ in members}
+    group_of = {i: group for group in groups for i, _ in group[1]}
     for anchor in anchors:
         found = _scan_anchor(bases, group_of[anchor], rank, target, anchor, query.budget)
         if found is not None:

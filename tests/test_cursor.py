@@ -33,18 +33,22 @@ from jointdigits import (
     pairwise_report,
     primitive_root,
 )
-from jointdigits.dependence import _groups
+from jointdigits.dependence import _group_class, _groups
 from jointdigits.digits import _MantissaCursor
 from jointdigits.witness import _return_gaps
 from jointdigits.witness import _scan_anchor as _scan_group_anchor
 
 
 def _scan_anchor(bases, target, anchor, budget):
-    """The anchored scan of the bases, fed the anchor's root group and the
-    read ranks, as find_witness computes them once per query."""
-    group = next(m for _, m in _groups(bases) if anchor in dict(m))
+    """The anchored scan of the bases, fed the anchor's root group with its
+    class and the read ranks, as find_witness computes them once per query.
+    A group that no x meets is rejected before any scan: no hit."""
+    a, members = next(g for g in _groups(bases) if anchor in dict(g[1]))
+    group_class = _group_class(a, members, target)
+    if group_class is None:
+        return None
     rank = [(2 * j + 1) * (b**16).bit_length() for b, j in zip(bases, target)]
-    return _scan_group_anchor(bases, group, rank, target, anchor, budget)
+    return _scan_group_anchor(bases, (a, members, group_class), rank, target, anchor, budget)
 
 
 def _exact(v):
@@ -140,9 +144,10 @@ def mixed_group_queries(draw):
     bases += draw(st.lists(other, max_size=2, unique=True))
     assume(len(bases) >= 2)
     bases = tuple(draw(st.permutations(bases)))
-    # small digits have the widest arcs, so that some targets are hit
+    # small digits have the widest arcs, so that some targets are hit; the
+    # budgets reach past a few strides lcm(e_i) / e of the anchor's group
     target = tuple(draw(st.integers(1, min(3, b - 1)) | st.integers(1, b - 1)) for b in bases)
-    return bases, target
+    return bases, target, draw(st.integers(1, 300) | st.integers(300, 1500))
 
 
 class TestWitnessScan:
@@ -154,16 +159,19 @@ class TestWitnessScan:
     @given(query=mixed_group_queries())
     # the group of root 2 comes first, but its first excluding pair (3, 4)
     # comes after the pair (1, 2) of root 3 in (i, j) order
-    @example(query=((4, 9, 27, 8, 32), (1, 4, 25, 4, 31)))
+    @example(query=((4, 9, 27, 8, 32), (1, 4, 25, 4, 31), 300))
+    # from the anchor 4 the candidates are k = 0 (mod 3), and base 3 jumps
+    # between its hits by its return times under the rotation by 4**3
+    @example(query=((4, 8, 10, 3), (1, 2, 6, 2), 600))
     @settings(max_examples=40, deadline=None)
     def test_mixed_groups_match_exact_scan_and_pairwise_obstruction(self, query):
-        # the scan, fed the root groups, against the exact walk from every
-        # anchor; the obstruction read lazily from the groups against the
-        # first excluding pair of all C(n,2) pairs, each decided on its own
-        bases, target = query
+        # the scan, fed the anchor's group and its class, against the exact
+        # walk from every anchor; the obstruction against the first
+        # excluding pair of all C(n,2) pairs, each decided on its own
+        bases, target, budget = query
         for anchor in range(len(bases)):
-            assert _scan_anchor(bases, target, anchor, 300) == \
-                exact_scan_anchor(bases, target, anchor, 300)
+            assert _scan_anchor(bases, target, anchor, budget) == \
+                exact_scan_anchor(bases, target, anchor, budget)
         deps = ((i, j, pair_dependence(bases[i], bases[j]))
                 for i, j in combinations(range(len(bases)), 2))
         excluding = ((i, j, attainable_by_power_criterion(dep, target[i], target[j]))
@@ -236,12 +244,14 @@ def one_root_queries(draw):
 
 @pytest.fixture
 def cursor_work(monkeypatch):
-    """Counts of the cursor's digit reads and exact rebuilds while a test runs."""
+    """Counts of the cursor's digit reads (in all and by base) and exact
+    rebuilds while a test runs."""
     work = Counter()
     digit, rebuild = _MantissaCursor.digit, _MantissaCursor._rebuild
 
     def counted_digit(self, i, n):
         work["reads"] += 1
+        work[self.bases[i]] += 1
         return digit(self, i, n)
 
     def counted_rebuild(self, i, n):
@@ -319,11 +329,17 @@ class TestReturnTimes:
         assert _scan_anchor(*query) == exact_scan_anchor(*query)
 
     @pytest.mark.parametrize("bases, target, period", [((9, 27), (4, 14), 3),
-                                                       ((9, 27, 81), (4, 14, 50), 6)])
+                                                       ((9, 27, 81), (4, 14, 42), 6)])
     def test_one_root_scan_stops_at_its_period(self, cursor_work, bases, target, period):
-        # from 9 = 3**2, 27 = 3**3 recurs every 3 steps and 81 = 9**2 every 2
+        # from 9 = 3**2, 27 = 3**3 recurs every 3 steps and 81 = 9**2 every
+        # 2: the group's class steps the anchor 9 by the period lcm(e_i) / 2.
+        # Its digit 4 puts every candidate's base-3 mantissa at 4/3, below the
+        # group's least 14/9, so the scan stops before any read
+        [(a, members)] = _groups(bases)
+        assert _group_class(a, members, target)[1] // 2 == period
         assert _scan_anchor(bases, target, 0, 27_000) is None
-        assert cursor_work["reads"] <= period + 1
+        assert exact_scan_anchor(bases, target, 0, 3 * period) is None
+        assert cursor_work["reads"] == 0
 
     def test_jumps_read_a_fraction_of_the_budget(self, cursor_work):
         # exhausted queries of the benchmark's hard class: the scan and the
@@ -334,15 +350,17 @@ class TestReturnTimes:
             assert _scan_anchor(*query) is None
             assert 5 * cursor_work["reads"] <= query[-1] + 1
 
-    def test_bases_that_share_the_anchor_root_are_read_last(self, cursor_work):
-        # 27 shares the root 3 with the anchor 9, so its digit along the
-        # orbit is periodic and its bounds often straddle a digit edge: read
-        # first, it would be read and rebuilt at nearly every k.  Read after
-        # the independent 10, it is read only at 10's hits
+    def test_bases_that_share_the_anchor_root_are_never_read(self, cursor_work):
+        # 27 shares the root 3 with 9, and their group's class decides both
+        # digits at once.  From the anchor 9 no candidate's mantissa 4/3
+        # reaches the group's 14/9, so nothing is read; from the anchor 27
+        # the candidates are k = 1 (mod 2), and only 10 is read
         query = (9, 27, 10), (4, 14, 5), 0, 27_000
         assert _scan_anchor(*query) is None
-        assert 3 * cursor_work["reads"] <= query[-1] + 1
-        assert cursor_work["rebuilds"] < query[-1] // 20
+        assert cursor_work["reads"] == 0
+        query = (9, 27, 10), (4, 14, 5), 1, 27_000
+        assert _scan_anchor(*query) == exact_scan_anchor(*query)
+        assert cursor_work["reads"] == cursor_work[10] > 0
 
 
 class StepwiseCursor(_MantissaCursor):

@@ -3,22 +3,25 @@
 import sys
 import time
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointdigits import (
     DependencePair,
     DependenceReport,
     ResourceLimitError,
+    attainable_by_power_criterion,
+    image_observed,
     integer_nth_root,
+    leading_digit_tuple,
     pair_dependence,
     pairwise_report,
     primitive_root,
 )
-from jointdigits.dependence import MAX_BASE_BITS, _groups
+from jointdigits.dependence import MAX_BASE_BITS, _group_class, _groups
 
 
 def brute_force_dependent(b1, b2, a_max=256, e_max=8):
@@ -244,6 +247,45 @@ class TestPairwiseReport:
         assert all(m == sorted(m) and a**e == bases[i] for a, m in groups for i, e in m)
         same_group = sorted((i, j) for _, m in groups for (i, _), (j, _) in combinations(m, 2))
         assert same_group == [(i, j) for i, j, _ in report.dependent_pairs]
+
+
+@st.composite
+def root_group_targets(draw):
+    # one to four powers of a root 2..7 (4 = 2**2 groups under the root 2)
+    # with exponents up to 12, and a digit per base, small ones often
+    a = draw(st.integers(2, 7))
+    exponents = st.integers(2 if a == 2 else 1, 12)
+    bases = tuple(a**e for e in draw(st.lists(exponents, min_size=1, max_size=4, unique=True)))
+    target = tuple(draw(st.integers(1, min(3, b - 1)) | st.integers(1, b - 1)) for b in bases)
+    return bases, target
+
+
+class TestGroupClass:
+    @given(query=root_group_targets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_pair_criterion_and_the_observed_image(self, query):
+        bases, target = query
+        [(a, members)] = _groups(bases)
+        group_class = _group_class(a, members, target)
+        # CRT and Helly: the group holds iff every pair's power criterion does
+        pairs = [(i, j, pair_dependence(bases[i], bases[j]))
+                 for i, j in combinations(range(len(bases)), 2)]
+        passes = all(attainable_by_power_criterion(dep, target[i], target[j]).attainable
+                     for i, j, dep in pairs)
+        assert (group_class is not None) == passes
+        modulus = lcm(*(e for _, e in members))
+        if group_class is not None:
+            # x = L * a**R has the target digits: L = t_i / a**m_i with
+            # R = m_i (mod e_i) and 0 <= m_i < e_i, so x is an integer below a**M
+            r, m, (p, q) = group_class
+            assert m == modulus and 0 <= r < m
+            x, rest = divmod(p * a**r, q)
+            assert rest == 0 and x < a**m
+            assert leading_digit_tuple(x, bases) == target
+        # digit_runs steps through about (b - 1) * M / e runs per base a**e up to a**M
+        if sum((a**e - 1) * modulus // e for _, e in members) <= 10**5:
+            observed = image_observed(bases, a**modulus - 1, cap=a**modulus)
+            assert (target in observed) == (group_class is not None)
 
 
 class TestJsonRoundTrip:

@@ -147,6 +147,39 @@ class TestFindWitness:
         assert r.outcome == "exhausted"
         assert calls == [(3, 10, 7)]
 
+    def test_only_a_rejecting_group_decides_pairs(self, monkeypatch):
+        # each root group is decided by its one class; a power criterion is
+        # read only inside a group that the class rejects
+        calls = []
+
+        def counted(dep, j1, j2):
+            calls.append((j1, j2))
+            return attainable_by_power_criterion(dep, j1, j2)
+
+        monkeypatch.setattr(jointdigits.witness, "attainable_by_power_criterion", counted)
+        # 56 has the digits (3, 7, 3) in 4, 8 and 16
+        r = find_witness(WitnessQuery(bases=(4, 8, 16, 10), target=(3, 7, 3, 5)))
+        assert r.found and calls == []
+        # 9 and 27 exclude (4, 3): their base-3 mantissas [4/3, 5/3) and [1, 4/3) are apart
+        r = find_witness(WitnessQuery(bases=(4, 8, 9, 27), target=(3, 7, 4, 3)))
+        assert (r.outcome, r.obstruction, calls) == ("not_attainable", (2, 3), [(4, 3)])
+
+    def test_a_rejected_group_without_an_excluding_pair_raises(self, monkeypatch):
+        # the classes and the pairs' criteria are one condition (CRT and
+        # Helly): a class that rejects a target every pair passes is a fault
+        monkeypatch.setattr(jointdigits.witness, "_group_class", lambda a, members, target: None)
+        with pytest.raises(RuntimeError, match="no pair of them excludes it"):
+            find_witness(WitnessQuery(bases=(4, 8, 10), target=(3, 7, 5)))
+
+
+def _run_child(code, *flags):
+    """Run the code in a fresh interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(jointdigits.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+
 
 def test_recheck_survives_optimize_flag():
     # python -O strips assert statements; the re-check must still raise
@@ -160,14 +193,31 @@ def test_recheck_survives_optimize_flag():
             print("raised:", exc)
         """
     )
-    env = dict(os.environ)
-    src = str(Path(jointdigits.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
+    proc = _run_child(code, "-O")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:")
+
+
+def test_one_candidate_left_searches_no_return_gaps():
+    # the class of 2**2..2**50 has the modulus lcm(2..50) > 10**21, so from
+    # each of them k = 0 is the only candidate in budget: 11 and 7 hit there
+    # and 3 misses, and no rotation by bases[anchor]**(M / e), a number of
+    # over 10**21 bits, may be built for return times never taken.  Run in a
+    # child with 512 MB of address space, where such a power fails at once
+    code = textwrap.dedent(
+        """
+        import resource
+        import jointdigits.witness as w
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+        calls, gaps = set(), w._return_gaps
+        w._return_gaps = lambda anchor_base, *args: calls.add(anchor_base) or gaps(anchor_base, *args)
+        bases = tuple(2**e for e in range(2, 51)) + (3, 5, 7, 11)
+        r = w.find_witness(w.WitnessQuery(bases, (1,) * 49 + (2, 1, 1, 1), budget=50))
+        print(r.outcome, calls <= {3, 5, 7, 11})
+        """
+    )
+    proc = _run_child(code)
+    assert (proc.returncode, proc.stdout) == (0, "exhausted True\n"), proc.stderr[-400:]
 
 
 class TestAnchoringExactness:
